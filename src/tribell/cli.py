@@ -122,9 +122,7 @@ def _evaluate_manifest_row(row: dict) -> float:
         pairs = symmetric_pairs(
             math.radians(params["phi_deg"]), math.radians(params["phi_prime_deg"])
         )
-        return shots.critical_visibility(
-            state, pairs, Functional(params["functional"]), v_tol=1e-6
-        )
+        return shots.critical_visibility(state, pairs, Functional(params["functional"]))
     raise ValueError(f"unknown manifest row kind {kind!r}")
 
 
@@ -416,7 +414,9 @@ def main(argv=None) -> int:
         parser.error("--visibility must lie in [0, 1]")
     try:
         return args.func(args)
-    except ValueError as exc:
+    # Bad input: ValueError (json.JSONDecodeError among them), a state file of
+    # the wrong JSON type (TypeError), or an unreadable or unwritable path.
+    except (ValueError, TypeError, OSError) as exc:
         sys.stderr.write(render_json({"error": str(exc)}))
         return 2
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polarimetry import correlation, wrap_phase
+from .polarimetry import analyzer_weights, wrap_phase, zx_coefficients
 from .qstate import DensityMatrix, PureState
 
 ENTRY_ATOL = 1e-10
@@ -37,6 +37,22 @@ BOUND = {Functional.MERMIN: 2.0, Functional.SVETLICHNY: 4.0}
 
 #: Largest value attainable by any tensor with entries in [-1, 1].
 ALGEBRAIC_MAX = {Functional.MERMIN: 4.0, Functional.SVETLICHNY: 8.0}
+
+
+def _sign_tensor(rows) -> np.ndarray:
+    signs = np.array(rows, dtype=float)
+    signs.flags.writeable = False
+    return signs
+
+
+#: Sign tensor c[i, j, k] of each functional: its value is the sum of
+#: c[i, j, k] * E[i, j, k].  Mermin takes the three one-primed entries minus
+#: the all-primed one; Svetlichny takes every entry, + with at most one
+#: primed setting and - otherwise.
+SIGN_TENSOR = {
+    Functional.MERMIN: _sign_tensor([[[0, 1], [1, 0]], [[1, 0], [0, -1]]]),
+    Functional.SVETLICHNY: _sign_tensor([[[1, 1], [1, -1]], [[1, -1], [-1, -1]]]),
+}
 
 
 @dataclass(frozen=True)
@@ -75,6 +91,8 @@ class CorrelationTensor:
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float).reshape(2, 2, 2)
+        if not np.isfinite(values).all():
+            raise ValueError("correlation entries must be finite, got NaN or inf")
         largest = float(np.abs(values).max())
         if largest > 1.0 + ENTRY_ATOL:
             raise ValueError(f"correlation entry out of range: |E| = {largest}")
@@ -111,21 +129,25 @@ class CorrelationTensor:
 def correlation_tensor(
     state: PureState | DensityMatrix, pairs
 ) -> CorrelationTensor:
-    """Evaluate all eight correlations for a two-settings-per-party scenario."""
+    """Evaluate all eight correlations for a two-settings-per-party scenario.
+
+    Each party's two observables are (Z, X)-weight rows contracted with the
+    state's Z/X coefficient tensor, so the state is read once per tensor.
+    """
     pairs = tuple(pairs)
     if len(pairs) != 3:
         raise ValueError(f"expected one SettingsPair per party, got {len(pairs)}")
-    values = np.empty((2, 2, 2))
-    for i, j, k in itertools.product((0, 1), repeat=3):
-        phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
-        values[i, j, k] = correlation(state, phis)
+    weights = [
+        np.array([analyzer_weights(pair.phi), analyzer_weights(pair.phi_prime)])
+        for pair in pairs
+    ]
+    values = np.einsum("iu,jv,kw,uvw->ijk", *weights, zx_coefficients(state))
     return CorrelationTensor(values)
 
 
 def mermin_value(tensor: CorrelationTensor) -> float:
     """E[0,0,1] + E[0,1,0] + E[1,0,0] - E[1,1,1]."""
-    e = tensor.values
-    return float(e[0, 0, 1] + e[0, 1, 0] + e[1, 0, 0] - e[1, 1, 1])
+    return functional_value(tensor, Functional.MERMIN)
 
 
 def mermin_partner_value(tensor: CorrelationTensor) -> float:
@@ -139,18 +161,12 @@ def svetlichny_value(tensor: CorrelationTensor) -> float:
     Equals mermin_value + mermin_partner_value; the identity is exercised in
     the test suite.
     """
-    e = tensor.values
-    return float(
-        e[0, 0, 0] + e[0, 0, 1] + e[0, 1, 0] + e[1, 0, 0]
-        - e[0, 1, 1] - e[1, 0, 1] - e[1, 1, 0] - e[1, 1, 1]
-    )
+    return functional_value(tensor, Functional.SVETLICHNY)
 
 
 def functional_value(tensor: CorrelationTensor, functional: Functional) -> float:
-    functional = Functional(functional)
-    if functional is Functional.MERMIN:
-        return mermin_value(tensor)
-    return svetlichny_value(tensor)
+    """The functional's sign tensor contracted with the correlation tensor."""
+    return float(np.vdot(SIGN_TENSOR[Functional(functional)], tensor.values))
 
 
 @dataclass(frozen=True)
@@ -190,6 +206,8 @@ def classify(
     """
     functional = Functional(functional)
     value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"functional value must be finite, got {value}")
     bound = BOUND[functional]
     violated = abs(value) > bound
     if not violated:

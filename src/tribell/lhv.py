@@ -6,18 +6,20 @@ strategies (one pair answers its joint settings with arbitrary correlation,
 the remaining party answers locally; 256 * 4 = 1024 per bipartition, 3072
 over the three bipartitions).  Maxima of linear functionals over convex
 mixtures of strategies are attained at these deterministic vertices, so the
-enumeration gives exact model bounds.
+enumeration gives exact model bounds.  Each model class is scored as one
+product of its +-1 strategy matrix with the functional's sign tensor.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .inequalities import CorrelationTensor, Functional, functional_value
+from .inequalities import SIGN_TENSOR, CorrelationTensor, Functional
 
 PARTY_NAMES = ("a", "b", "c")
 
@@ -109,37 +111,77 @@ _PARTY_MAPS = tuple(
 )
 
 
+#: Hybrid strategies per partition: 256 pair tables times 4 solo maps.
+_PER_PARTITION = 1024
+
+
+def _local_strategy(index: int) -> LocalStrategy:
+    """Local strategy number `index`: its base-4 digits pick the party maps, a first."""
+    return LocalStrategy(
+        (_PARTY_MAPS[index >> 4], _PARTY_MAPS[(index >> 2) & 3], _PARTY_MAPS[index & 3])
+    )
+
+
+def _hybrid_strategy(partition: Partition, index: int) -> HybridStrategy:
+    """Hybrid strategy `index` of one partition: pair table index >> 2, solo map index & 3."""
+    table = index >> 2
+    pair_outputs = tuple(
+        (_bit_to_outcome((table >> (2 * t)) & 1), _bit_to_outcome((table >> (2 * t + 1)) & 1))
+        for t in range(4)
+    )
+    return HybridStrategy(partition, pair_outputs, _PARTY_MAPS[index & 3])
+
+
 def enumerate_local() -> list[LocalStrategy]:
     """All 64 deterministic fully local strategies, in a fixed order."""
-    return [
-        LocalStrategy((ma, mb, mc))
-        for ma in _PARTY_MAPS
-        for mb in _PARTY_MAPS
-        for mc in _PARTY_MAPS
-    ]
+    return [_local_strategy(index) for index in range(64)]
 
 
 def enumerate_hybrid(partition: Partition | None = None) -> list[HybridStrategy]:
     """All 1024 hybrid strategies of one partition, or all 3072 of the three."""
     partitions = [Partition(partition)] if partition is not None else list(Partition)
-    strategies = []
-    for part in partitions:
-        for q in range(256):
-            pair_outputs = tuple(
-                (_bit_to_outcome((q >> (2 * t)) & 1), _bit_to_outcome((q >> (2 * t + 1)) & 1))
-                for t in range(4)
-            )
-            for r in range(4):
-                solo_outputs = tuple(_bit_to_outcome((r >> s) & 1) for s in (0, 1))
-                strategies.append(HybridStrategy(part, pair_outputs, solo_outputs))
-    return strategies
+    return [
+        _hybrid_strategy(part, index)
+        for part in partitions
+        for index in range(_PER_PARTITION)
+    ]
 
 
-def enumerate_strategies(model: ModelClass):
-    model = ModelClass(model)
+def _strategy_at(model: ModelClass, row: int) -> LocalStrategy | HybridStrategy:
+    """The strategy behind one row of strategy_matrix(model)."""
     if model is ModelClass.LOCAL:
-        return enumerate_local()
-    return enumerate_hybrid()
+        return _local_strategy(row)
+    partition, index = divmod(row, _PER_PARTITION)
+    return _hybrid_strategy(list(Partition)[partition], index)
+
+
+@functools.cache
+def strategy_matrix(model: ModelClass) -> np.ndarray:
+    """Every strategy tensor of a model class as one read-only +-1 matrix.
+
+    Row r is strategy_tensor(s).values flattened (column 4i + 2j + k) for the
+    r-th strategy s of enumerate_local() or enumerate_hybrid(): 64 x 8 or
+    3072 x 8.  Built on first use and kept for the life of the process.
+    """
+    model = ModelClass(model)
+    outcomes = np.array(_PARTY_MAPS, dtype=float)  # [map, setting]
+    if model is ModelClass.LOCAL:
+        matrix = np.einsum("ai,bj,ck->abcijk", outcomes, outcomes, outcomes).reshape(64, 8)
+    else:
+        # Bits 2t and 2t + 1 of a pair table are its two members' outcomes for
+        # the joint setting t; a strategy tensor only sees their product.
+        pair_outcomes = 1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)
+        pair_products = pair_outcomes[:, 0::2] * pair_outcomes[:, 1::2]
+        choices = np.array(list(itertools.product((0, 1), repeat=3)))
+        blocks = []
+        for partition in Partition:
+            (first, second), solo = _PARTITION_ROLES[partition]
+            joint = 2 * choices[:, first] + choices[:, second]
+            block = pair_products[:, None, joint] * outcomes[None, :, choices[:, solo]]
+            blocks.append(block.reshape(_PER_PARTITION, 8))
+        matrix = np.concatenate(blocks)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def strategy_tensor(strategy: LocalStrategy | HybridStrategy) -> CorrelationTensor:
@@ -175,18 +217,14 @@ def lhv_max(functional: Functional, model: ModelClass) -> LhvMaxResult:
     Both enumerations are closed under flipping one party's outcomes, which
     negates every tensor entry, so the signed maximum equals the maximum of
     the absolute value and the witness always attains max_value exactly.
-    Ties keep the first strategy in enumeration order.
+    Ties keep the first strategy in enumeration order (np.argmax returns the
+    first maximal row), and only the winning strategy is built.
     """
     functional = Functional(functional)
     model = ModelClass(model)
-    best_value = -np.inf
-    best_strategy = None
-    for strategy in enumerate_strategies(model):
-        value = functional_value(strategy_tensor(strategy), functional)
-        if value > best_value:
-            best_value = value
-            best_strategy = strategy
-    return LhvMaxResult(functional, model, float(best_value), best_strategy)
+    scores = strategy_matrix(model) @ SIGN_TENSOR[functional].reshape(8)
+    best = int(np.argmax(scores))
+    return LhvMaxResult(functional, model, float(scores[best]), _strategy_at(model, best))
 
 
 def mixture_tensor(weights) -> CorrelationTensor:

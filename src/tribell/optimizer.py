@@ -16,17 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import Functional, SettingsPair
-from .polarimetry import TWO_PI, wrap_phase
-from .qstate import DensityMatrix, PureState, as_density
-
-_PAULI_Z = np.diag([1.0, -1.0])
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+from .polarimetry import TWO_PI, wrap_phase, zx_coefficients
+from .qstate import DensityMatrix, PureState
 
 #: Any single phase enters at most 8 unit-derivative correlation terms, so 8
 #: bounds the objective's per-axis Lipschitz constant for both functionals.
 _LIPSCHITZ_BOUND = 8.0
 
 _TOP_SEEDS = 10
+
+#: Largest grid per phase axis: a 0.5 degree step, whose symmetric grid already
+#: costs 720^2 = 518400 objective evaluations before any refinement.
+MAX_GRID_CELLS = 720
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,11 @@ class OptimizationConfig:
         if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
             raise ValueError(f"grid_step must be positive, got {self.grid_step}")
         cells = TWO_PI / self.grid_step
+        if cells > MAX_GRID_CELLS + 0.5:
+            raise ValueError(
+                f"grid_step must give at most {MAX_GRID_CELLS} cells (0.5 degrees "
+                f"or coarser), got {cells:.6g} cells"
+            )
         if abs(cells - round(cells)) > 1e-12 * max(1.0, cells):
             raise ValueError(
                 f"grid_step must divide 2*pi into an integer number of cells, "
@@ -78,22 +84,6 @@ class OptimizationResult:
         }
 
 
-def _zx_coefficients(rho: np.ndarray) -> np.ndarray:
-    """T[u,v,w] = Re tr(rho P_u x P_v x P_w) over P in (Z, X).
-
-    The analyzer observable is cos(phi) Z - sin(phi) X, so these eight numbers
-    determine every correlation of the state within the analyzer family.
-    """
-    paulis = (_PAULI_Z, _PAULI_X)
-    coeffs = np.empty((2, 2, 2))
-    for u in range(2):
-        for v in range(2):
-            for w in range(2):
-                op = np.kron(np.kron(paulis[u], paulis[v]), paulis[w])
-                coeffs[u, v, w] = float(np.trace(rho @ op).real)
-    return coeffs
-
-
 def _setting_weights(phi: float, phi_prime: float) -> np.ndarray:
     """Per-setting (Z, X) weights of one party's two observables."""
     return np.array(
@@ -105,7 +95,7 @@ def _setting_weights(phi: float, phi_prime: float) -> np.ndarray:
 
 
 def _make_objective(state: PureState | DensityMatrix, functional: Functional):
-    coeffs = _zx_coefficients(as_density(state).entries)
+    coeffs = zx_coefficients(state)
     functional = Functional(functional)
 
     def objective(x) -> float:

@@ -26,6 +26,9 @@ KET_L = np.array([1.0, 1.0j]) / math.sqrt(2.0)
 PROB_SUM_ATOL = 1e-10
 PROB_RANGE_ATOL = 1e-12
 
+#: Z and X stacked, the basis in which every analyzer observable is expanded.
+_PAULI_ZX = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+
 
 def wrap_phase(phi: float) -> float:
     """Canonical representative of an analyzer phase in [0, 2*pi)."""
@@ -58,6 +61,24 @@ def analyzer_observable(phi: float) -> np.ndarray:
     return proj_plus - proj_minus
 
 
+def analyzer_weights(phi: float) -> np.ndarray:
+    """(Z, X) weights (cos(phi), -sin(phi)) of the analyzer observable sigma(phi)."""
+    phi = wrap_phase(phi)
+    return np.array([math.cos(phi), -math.sin(phi)])
+
+
+def zx_coefficients(state: PureState | DensityMatrix) -> np.ndarray:
+    """T[u, v, w] = Re tr(rho P_u x P_v x P_w) over P in (Z, X).
+
+    Every analyzer observable is cos(phi) Z - sin(phi) X, so these eight
+    numbers determine every correlation of the state within the analyzer
+    family: E = sum T[u, v, w] g_a[u] g_b[v] g_c[w] with g = analyzer_weights.
+    """
+    rho = as_density(state).entries.reshape((2,) * 6)
+    paulis = _PAULI_ZX
+    return np.einsum("abcdef,uda,veb,wfc->uvw", rho, paulis, paulis, paulis).real
+
+
 def outcome_sign(bit: int) -> int:
     """Outcome index to sign: port bit 0 -> +1, bit 1 -> -1."""
     return 1 - 2 * bit
@@ -74,6 +95,8 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         probs = np.array(self.probs, dtype=float).reshape(2, 2, 2)
+        if not np.isfinite(probs).all():
+            raise ValueError("outcome probabilities must be finite, got NaN or inf")
         if probs.min() < -PROB_RANGE_ATOL or probs.max() > 1.0 + PROB_RANGE_ATOL:
             raise ValueError("outcome probabilities outside [0, 1]")
         total = float(probs.sum())
@@ -112,15 +135,11 @@ def outcome_distribution(
 
 def correlation(state: PureState | DensityMatrix, settings) -> float:
     """Expectation of the product of the three +-1 outcomes, tr(rho sa x sb x sc)."""
-    rho = as_density(state).entries
     phis = tuple(float(p) for p in settings)
     if len(phis) != 3:
         raise ValueError(f"expected 3 analyzer settings, got {len(phis)}")
-    obs = np.kron(
-        np.kron(analyzer_observable(phis[0]), analyzer_observable(phis[1])),
-        analyzer_observable(phis[2]),
-    )
-    return float(np.trace(rho @ obs).real)
+    weights = [analyzer_weights(phi) for phi in phis]
+    return float(np.einsum("u,v,w,uvw->", *weights, zx_coefficients(state)))
 
 
 def correlation_from_distribution(dist: OutcomeDistribution) -> float:

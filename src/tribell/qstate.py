@@ -39,6 +39,8 @@ class PureState:
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(DIM)
+        if not np.isfinite(amps).all():
+            raise ValueError("state amplitudes must be finite, got NaN or inf")
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValueError(f"state is not normalized: |amplitudes|^2 = {norm_sq}")
@@ -60,6 +62,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         rho = np.array(self.entries, dtype=complex).reshape(DIM, DIM)
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix entries must be finite, got NaN or inf")
         if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=HERMITIAN_ATOL):
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(rho))

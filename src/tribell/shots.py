@@ -5,7 +5,8 @@ choice draws from its own counter-based Philox stream keyed by
 (seed, setting-choice index), so sampling is reproducible regardless of the
 order in which setting blocks are evaluated.  Standard errors of the
 functionals combine the per-setting binomial errors in quadrature, treating
-setting blocks as independent.
+setting blocks as independent.  The critical visibility of a violation is
+computed in closed form, since every functional is linear in the visibility.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .inequalities import (
     BOUND,
+    SIGN_TENSOR,
     CorrelationTensor,
     Functional,
     InequalityReport,
@@ -26,7 +28,7 @@ from .inequalities import (
     functional_value,
 )
 from .polarimetry import outcome_distribution, outcome_sign
-from .qstate import DensityMatrix, PureState, as_density, mix_with_white_noise
+from .qstate import DensityMatrix, PureState, as_density
 
 _SETTING_CHOICES = tuple(itertools.product((0, 1), repeat=3))
 
@@ -40,10 +42,11 @@ _OUTCOME_SIGNS = np.array(
     dtype=float,
 )
 
-#: Tensor entries whose per-setting errors enter each functional's error budget.
+#: Tensor entries whose per-setting errors enter each functional's error
+#: budget: the nonzero entries of its sign tensor, in index order.
 FUNCTIONAL_TERMS = {
-    Functional.MERMIN: ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)),
-    Functional.SVETLICHNY: _SETTING_CHOICES,
+    functional: tuple(tuple(int(i) for i in idx) for idx in np.argwhere(signs))
+    for functional, signs in SIGN_TENSOR.items()
 }
 
 
@@ -189,28 +192,17 @@ def critical_visibility(
     functional: Functional,
     v_tol: float = 1e-6,
 ) -> float:
-    """Smallest visibility at which |functional| crosses its bound, by bisection.
+    """Smallest visibility at which |functional| crosses its bound, in closed form.
 
     White noise contributes nothing to any correlation (the observables are
-    traceless), so the functional is linear in v and the crossing is unique.
+    traceless), so the functional of v*rho + (1-v)*identity/8 is v times its
+    value S at v = 1, and the crossing is v* = bound / |S|.  v_tol is accepted
+    for compatibility and ignored: the result is exact.
     """
     functional = Functional(functional)
-    rho = as_density(state)
-    pairs = tuple(pairs)
-
-    def excess(v: float) -> float:
-        tensor = correlation_tensor(mix_with_white_noise(rho, v), pairs)
-        return abs(functional_value(tensor, functional)) - BOUND[functional]
-
-    if excess(1.0) <= 0.0:
+    value = abs(functional_value(correlation_tensor(state, pairs), functional))
+    if value <= BOUND[functional]:
         raise ValueError(
             "no violation at full visibility; critical visibility undefined"
         )
-    lo, hi = 0.0, 1.0
-    while hi - lo > v_tol:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return BOUND[functional] / value

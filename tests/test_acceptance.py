@@ -160,7 +160,7 @@ def test_criterion_6_visibility_threshold():
     )
     ok = abs(v_star - 4.0 / 4.354) <= 1e-3 and linear_ok
     _check(
-        "criterion 6 (critical visibility by bisection)",
+        "criterion 6 (critical visibility in closed form)",
         ok,
         f"v* = {v_star:.6f} vs 4/4.354 = {4.0 / 4.354:.6f}; linearity in v holds",
     )

@@ -210,3 +210,33 @@ def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main([])
     assert excinfo.value.code == 2
+
+
+def test_state_file_of_wrong_json_type_exits_two(capsys, tmp_path):
+    state_path = tmp_path / "dict.json"
+    state_path.write_text(json.dumps({"amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]}))
+    code, out, err = run_cli(
+        capsys, "correlations", "--state", str(state_path), "--angles", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+def test_directory_as_state_exits_two(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "correlations", "--state", str(tmp_path), "--angles", "0")
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+def test_output_in_missing_directory_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "lhv-scan", "--functional", "mermin", "--model", "local",
+        "--output", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+    assert not target.exists()

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_angles, random_density
+from helpers import random_angles, random_density, random_pure
 from tribell import (
     Classification,
     CorrelationTensor,
     Functional,
     SettingsPair,
+    analyzer_observable,
     classify,
     correlation_tensor,
     make_ghz,
@@ -21,6 +22,8 @@ from tribell import (
     maximally_mixed,
     mermin_partner_value,
     mermin_value,
+    mix_with_white_noise,
+    pure_to_density,
     svetlichny_value,
     symmetric_pairs,
 )
@@ -58,6 +61,22 @@ def test_w_tensor_at_tested_settings():
 def test_maximally_mixed_tensor_vanishes():
     tensor = correlation_tensor(maximally_mixed(), OPTIMAL_PAIRS)
     assert np.abs(tensor.values).max() < 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), visibility=st.floats(min_value=0.0, max_value=1.0))
+def test_correlation_tensor_matches_kronecker_reference(seed, visibility):
+    rng = np.random.default_rng(seed)
+    rho = mix_with_white_noise(pure_to_density(random_pure(rng)), visibility)
+    pairs = tuple(SettingsPair(*random_angles(rng, 2)) for _ in range(3))
+    tensor = correlation_tensor(rho, pairs)
+    for i, j, k in itertools.product((0, 1), repeat=3):
+        observable = np.kron(
+            np.kron(analyzer_observable(pairs[0].setting(i)),
+                    analyzer_observable(pairs[1].setting(j))),
+            analyzer_observable(pairs[2].setting(k)),
+        )
+        expected = float(np.trace(rho.entries @ observable).real)
+        assert abs(tensor[i, j, k] - expected) < 1e-12
 
 
 def test_mermin_value_cases():
@@ -146,6 +165,12 @@ def test_classify_violation_iff_above_bound(value, functional):
         assert report.classification is Classification.CONSISTENT_WITH_LOCAL
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_classify_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        classify(bad, Functional.SVETLICHNY)
+
+
 def test_report_degenerate_flag_passthrough():
     assert classify(1.0, Functional.MERMIN, degenerate=True).degenerate
     assert not classify(1.0, Functional.MERMIN).degenerate
@@ -154,6 +179,12 @@ def test_report_degenerate_flag_passthrough():
 def test_tensor_rejects_out_of_range_entries():
     with pytest.raises(ValueError):
         tensor_from_list([1.5] + [0.0] * 7)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tensor_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        tensor_from_list([bad] + [0.0] * 7)
 
 
 def test_tensor_json_round_trip():

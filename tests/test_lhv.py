@@ -14,13 +14,14 @@ from tribell import (
     Partition,
     enumerate_hybrid,
     enumerate_local,
+    functional_value,
     lhv_max,
     mermin_value,
     mixture_tensor,
     strategy_tensor,
     svetlichny_value,
 )
-from tribell.lhv import LocalStrategy
+from tribell.lhv import LocalStrategy, strategy_matrix
 
 
 def test_enumeration_sizes_and_uniqueness():
@@ -41,6 +42,19 @@ def test_strategy_tensor_constant_strategies():
     assert np.all(strategy_tensor(c_always_minus).values == -1.0)
 
 
+@pytest.mark.parametrize(
+    "model,enumerate_model",
+    [(ModelClass.LOCAL, enumerate_local), (ModelClass.HYBRID, enumerate_hybrid)],
+)
+def test_strategy_matrix_rows_are_strategy_tensors(model, enumerate_model):
+    matrix = strategy_matrix(model)
+    strategies = enumerate_model()
+    assert matrix.shape == (len(strategies), 8)
+    assert not matrix.flags.writeable
+    for row, strategy in zip(matrix, strategies):
+        assert np.array_equal(row, strategy_tensor(strategy).values.reshape(8))
+
+
 def test_all_strategy_tensors_are_sign_valued():
     for strategy in enumerate_local() + enumerate_hybrid():
         values = strategy_tensor(strategy).values
@@ -59,6 +73,15 @@ def test_all_strategy_tensors_are_sign_valued():
 def test_lhv_max_exact_bounds_with_witnesses(functional, model, expected):
     result = lhv_max(functional, model)
     assert result.max_value == expected
+    # Reference: score every strategy in enumeration order, keep the first maximizer.
+    strategies = enumerate_local() if model is ModelClass.LOCAL else enumerate_hybrid()
+    best_value, best_strategy = -np.inf, None
+    for strategy in strategies:
+        value = functional_value(strategy_tensor(strategy), functional)
+        if value > best_value:
+            best_value, best_strategy = value, strategy
+    assert result.max_value == best_value
+    assert result.witness == best_strategy
     recomputed = strategy_tensor(result.witness)
     if functional is Functional.MERMIN:
         assert mermin_value(recomputed) == result.max_value

@@ -41,6 +41,14 @@ def test_config_rejects_bad_values():
     assert OptimizationConfig().grid_cells == 24
 
 
+def test_config_bounds_the_grid():
+    # Constructing the config only; no grid is ever built here.
+    assert OptimizationConfig(grid_step=math.radians(0.5)).grid_cells == 720
+    for step in (math.radians(0.4), 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="at most 720 cells"):
+            OptimizationConfig(grid_step=step)
+
+
 def test_w_svetlichny_reaches_quoted_maximum(w_svetlichny_result):
     result = w_svetlichny_result
     assert result.best_value == pytest.approx(4.354, abs=1e-3)

@@ -12,16 +12,18 @@ from tribell import (
     PureState,
     analyzer_observable,
     analyzer_projectors,
+    as_density,
     correlation,
     correlation_from_distribution,
     make_ghz,
     make_w,
     maximally_mixed,
+    mix_with_white_noise,
     outcome_distribution,
     pure_to_density,
     wrap_phase,
 )
-from tribell.polarimetry import TWO_PI, OutcomeDistribution
+from tribell.polarimetry import TWO_PI, OutcomeDistribution, zx_coefficients
 
 PAULI_Z = np.diag([1.0, -1.0])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -97,6 +99,14 @@ def test_outcome_distribution_validates_simplex():
         OutcomeDistribution(np.full((2, 2, 2), 0.2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_outcome_distribution_rejects_non_finite(bad):
+    probs = np.full((2, 2, 2), 1.0 / 8.0)
+    probs[0, 0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        OutcomeDistribution(probs)
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 def test_distribution_simplex_and_consistency_on_random_states(seed):
     rng = np.random.default_rng(seed)
@@ -109,6 +119,23 @@ def test_distribution_simplex_and_consistency_on_random_states(seed):
     value = correlation(rho, phis)
     assert abs(value - correlation_from_distribution(dist)) < 1e-10
     assert abs(value) <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("visibility", [1.0, 0.9123])
+@pytest.mark.parametrize(
+    "state", [make_w(), make_ghz("linear_hv"), make_ghz("circular_rl")],
+    ids=["w", "ghz-hv", "ghz-rl"],
+)
+def test_zx_coefficients_equal_kronecker_traces_bitwise(state, visibility):
+    # The optimizer's objective reads these coefficients, so its reported
+    # optima for the named states depend on every bit of them.
+    mixed = mix_with_white_noise(as_density(state), visibility)
+    paulis = (PAULI_Z, PAULI_X)
+    reference = np.empty((2, 2, 2))
+    for u, v, w in np.ndindex(2, 2, 2):
+        op = np.kron(np.kron(paulis[u], paulis[v]), paulis[w])
+        reference[u, v, w] = float(np.trace(mixed.entries @ op).real)
+    assert np.array_equal(zx_coefficients(mixed), reference)
 
 
 def test_w_correlations_known_values():

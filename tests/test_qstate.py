@@ -64,6 +64,14 @@ def test_pure_state_rejects_unnormalized():
         PureState(np.ones(8))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pure_state_rejects_non_finite(bad):
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PureState(amps)
+
+
 def test_pure_to_density_w():
     rho = pure_to_density(make_w())
     assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
@@ -92,6 +100,14 @@ def test_density_matrix_rejects_bad_inputs():
     negative[1, 1] = -0.5
     with pytest.raises(ValueError):
         DensityMatrix(negative)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_density_matrix_rejects_non_finite(bad):
+    rho = np.eye(8, dtype=complex) / 8.0
+    rho[3, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(rho)
 
 
 def test_mix_with_white_noise_endpoints():

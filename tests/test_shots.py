@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribell import (
+    BOUND,
     Classification,
     CorrelationTensor,
     CountTable,
@@ -16,6 +17,7 @@ from tribell import (
     critical_visibility,
     estimate_inequality,
     estimate_tensor,
+    functional_value,
     make_w,
     maximally_mixed,
     mix_with_white_noise,
@@ -154,6 +156,23 @@ def test_critical_visibility_matches_bound_ratio():
     v_star = critical_visibility(make_w(), OPTIMAL_PAIRS, Functional.SVETLICHNY)
     assert abs(v_star - 4.0 / 4.354) < 1e-3
     assert v_star == pytest.approx(4.0 / S_V_OPTIMAL, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "functional,state,pairs",
+    [
+        (Functional.SVETLICHNY, make_w(), OPTIMAL_PAIRS),
+        (Functional.MERMIN, make_w(), COMMENT_PAIRS),
+        (Functional.SVETLICHNY, mix_with_white_noise(pure_to_density(make_w()), 0.95),
+         OPTIMAL_PAIRS),
+    ],
+)
+def test_critical_visibility_is_bound_over_full_value(functional, state, pairs):
+    value = abs(functional_value(correlation_tensor(state, pairs), functional))
+    v_star = critical_visibility(state, pairs, functional)
+    assert v_star == BOUND[functional] / value
+    # v_tol is accepted and has no effect on the closed-form result.
+    assert critical_visibility(state, pairs, functional, v_tol=0.25) == v_star
 
 
 def test_critical_visibility_requires_violation():
