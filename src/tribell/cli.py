@@ -104,25 +104,26 @@ def load_reproduce_manifest() -> list[dict]:
     return json.loads(text)["rows"]
 
 
+def _row_state_and_pairs(params: dict):
+    """The state and symmetric settings a manifest row names."""
+    pairs = symmetric_pairs(
+        math.radians(params["phi_deg"]), math.radians(params["phi_prime_deg"])
+    )
+    return _load_state(params["state"]), pairs
+
+
 def _evaluate_manifest_row(row: dict) -> float:
     kind = row["kind"]
     params = row["params"]
+    functional = Functional(params["functional"])
     if kind == "functional_value":
-        state = _load_state(params["state"])
-        pairs = symmetric_pairs(
-            math.radians(params["phi_deg"]), math.radians(params["phi_prime_deg"])
-        )
-        tensor = correlation_tensor(state, pairs)
-        return functional_value(tensor, Functional(params["functional"]))
+        state, pairs = _row_state_and_pairs(params)
+        return functional_value(correlation_tensor(state, pairs), functional)
     if kind == "lhv_max":
-        result = lhv_max(Functional(params["functional"]), ModelClass(params["model"]))
-        return result.max_value
+        return lhv_max(functional, ModelClass(params["model"])).max_value
     if kind == "critical_visibility":
-        state = _load_state(params["state"])
-        pairs = symmetric_pairs(
-            math.radians(params["phi_deg"]), math.radians(params["phi_prime_deg"])
-        )
-        return shots.critical_visibility(state, pairs, Functional(params["functional"]))
+        state, pairs = _row_state_and_pairs(params)
+        return shots.critical_visibility(state, pairs, functional)
     raise ValueError(f"unknown manifest row kind {kind!r}")
 
 

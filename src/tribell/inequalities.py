@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polarimetry import analyzer_weights, wrap_phase, zx_coefficients
+from .polarimetry import analyzer_weights, pauli_coefficients, wrap_phase
 from .qstate import DensityMatrix, PureState
 
 ENTRY_ATOL = 1e-10
@@ -132,7 +132,8 @@ def correlation_tensor(
     """Evaluate all eight correlations for a two-settings-per-party scenario.
 
     Each party's two observables are (Z, X)-weight rows contracted with the
-    state's Z/X coefficient tensor, so the state is read once per tensor.
+    Z/X block of the state's coefficient tensor, so the state is read once
+    per tensor.
     """
     pairs = tuple(pairs)
     if len(pairs) != 3:
@@ -141,7 +142,8 @@ def correlation_tensor(
         np.array([analyzer_weights(pair.phi), analyzer_weights(pair.phi_prime)])
         for pair in pairs
     ]
-    values = np.einsum("iu,jv,kw,uvw->ijk", *weights, zx_coefficients(state))
+    coeffs = pauli_coefficients(state)[1:, 1:, 1:]
+    values = np.einsum("iu,jv,kw,uvw->ijk", *weights, coeffs)
     return CorrelationTensor(values)
 
 

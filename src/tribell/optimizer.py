@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import Functional, SettingsPair
-from .polarimetry import TWO_PI, wrap_phase, zx_coefficients
+from .inequalities import SIGN_TENSOR, Functional, SettingsPair
+from .polarimetry import TWO_PI, pauli_coefficients, wrap_phase
 from .qstate import DensityMatrix, PureState
 
 #: Any single phase enters at most 8 unit-derivative correlation terms, so 8
@@ -95,22 +95,14 @@ def _setting_weights(phi: float, phi_prime: float) -> np.ndarray:
 
 
 def _make_objective(state: PureState | DensityMatrix, functional: Functional):
-    coeffs = zx_coefficients(state)
-    functional = Functional(functional)
+    coeffs = pauli_coefficients(state)[1:, 1:, 1:]
+    signs = SIGN_TENSOR[Functional(functional)]
 
     def objective(x) -> float:
         ga = _setting_weights(x[0], x[1])
         gb = _setting_weights(x[2], x[3])
         gc = _setting_weights(x[4], x[5])
-        e = np.einsum("iu,jv,kw,uvw->ijk", ga, gb, gc, coeffs)
-        if functional is Functional.MERMIN:
-            value = e[0, 0, 1] + e[0, 1, 0] + e[1, 0, 0] - e[1, 1, 1]
-        else:
-            value = (
-                e[0, 0, 0] + e[0, 0, 1] + e[0, 1, 0] + e[1, 0, 0]
-                - e[0, 1, 1] - e[1, 0, 1] - e[1, 1, 0] - e[1, 1, 1]
-            )
-        return abs(float(value))
+        return abs(float(np.einsum("ijk,iu,jv,kw,uvw->", signs, ga, gb, gc, coeffs)))
 
     return objective
 

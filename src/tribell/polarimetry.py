@@ -1,10 +1,16 @@
-"""Polarization analyzers and Born-rule correlations.
+"""Polarization analyzers and Born-rule quantities.
 
 Each party measures the observable sigma(phi) = |phi+><phi+| - |phi-><phi-|
 built from the analyzer kets |phi+-> = (|R> +- e^{i phi}|L>)/sqrt(2).  The
 circular basis is fixed as |R> = (|H> - i|V>)/sqrt(2), |L> = (|H> + i|V>)/sqrt(2),
 under which sigma(phi) = cos(phi) Z - sin(phi) X in the H/V basis.  Outcome
 +1 means detection in the |phi+> port.
+
+Both the observable and its port projectors (I +- sigma(phi))/2 are
+combinations of I, Z and X, so a state enters every correlation and outcome
+probability only through its 27 coefficients Re tr(rho P_u x P_v x P_w),
+P in (I, Z, X) (pauli_coefficients).  Each Born-rule number is that tensor
+contracted with one weight row per party.
 """
 
 from __future__ import annotations
@@ -26,8 +32,14 @@ KET_L = np.array([1.0, 1.0j]) / math.sqrt(2.0)
 PROB_SUM_ATOL = 1e-10
 PROB_RANGE_ATOL = 1e-12
 
-#: Z and X stacked, the basis in which every analyzer observable is expanded.
-_PAULI_ZX = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+#: I, Z and X stacked, the basis in which every analyzer operator is expanded.
+_PAULI_IZX = np.array(
+    [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]]
+)
+
+#: Product of the three outcome signs per port index triple (0 -> +1, 1 -> -1).
+OUTCOME_SIGNS = np.array([[[1.0, -1.0], [-1.0, 1.0]], [[-1.0, 1.0], [1.0, -1.0]]])
+OUTCOME_SIGNS.flags.writeable = False
 
 
 def wrap_phase(phi: float) -> float:
@@ -67,21 +79,23 @@ def analyzer_weights(phi: float) -> np.ndarray:
     return np.array([math.cos(phi), -math.sin(phi)])
 
 
-def zx_coefficients(state: PureState | DensityMatrix) -> np.ndarray:
-    """T[u, v, w] = Re tr(rho P_u x P_v x P_w) over P in (Z, X).
+def _port_weights(phi: float) -> np.ndarray:
+    """(I, Z, X) weights of the +1 and -1 port projectors (I +- sigma(phi))/2."""
+    g = analyzer_weights(phi)
+    return 0.5 * np.array([[1.0, g[0], g[1]], [1.0, -g[0], -g[1]]])
 
-    Every analyzer observable is cos(phi) Z - sin(phi) X, so these eight
-    numbers determine every correlation of the state within the analyzer
-    family: E = sum T[u, v, w] g_a[u] g_b[v] g_c[w] with g = analyzer_weights.
+
+def pauli_coefficients(state: PureState | DensityMatrix) -> np.ndarray:
+    """T[u, v, w] = Re tr(rho P_u x P_v x P_w) over P in (I, Z, X).
+
+    T[0, 0, 0] = tr(rho) = 1.  The Z/X block T[1:, 1:, 1:] gives every
+    correlation, E = sum T[1+u, 1+v, 1+w] g_a[u] g_b[v] g_c[w] with
+    g = analyzer_weights; the full tensor contracted with _port_weights gives
+    every outcome probability.
     """
     rho = as_density(state).entries.reshape((2,) * 6)
-    paulis = _PAULI_ZX
+    paulis = _PAULI_IZX
     return np.einsum("abcdef,uda,veb,wfc->uvw", rho, paulis, paulis, paulis).real
-
-
-def outcome_sign(bit: int) -> int:
-    """Outcome index to sign: port bit 0 -> +1, bit 1 -> -1."""
-    return 1 - 2 * bit
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,15 +135,11 @@ def outcome_distribution(
     state: PureState | DensityMatrix, settings
 ) -> OutcomeDistribution:
     """Joint +-1 outcome distribution for three analyzers at the given phases."""
-    rho = as_density(state).entries
     phis = tuple(float(p) for p in settings)
     if len(phis) != 3:
         raise ValueError(f"expected 3 analyzer settings, got {len(phis)}")
-    projectors = [analyzer_projectors(phi) for phi in phis]
-    probs = np.empty((2, 2, 2))
-    for oa, ob, oc in itertools.product((0, 1), repeat=3):
-        op = np.kron(np.kron(projectors[0][oa], projectors[1][ob]), projectors[2][oc])
-        probs[oa, ob, oc] = float(np.trace(rho @ op).real)
+    weights = [_port_weights(phi) for phi in phis]
+    probs = np.einsum("iu,jv,kw,uvw->ijk", *weights, pauli_coefficients(state))
     return OutcomeDistribution(probs)
 
 
@@ -139,13 +149,10 @@ def correlation(state: PureState | DensityMatrix, settings) -> float:
     if len(phis) != 3:
         raise ValueError(f"expected 3 analyzer settings, got {len(phis)}")
     weights = [analyzer_weights(phi) for phi in phis]
-    return float(np.einsum("u,v,w,uvw->", *weights, zx_coefficients(state)))
+    coeffs = pauli_coefficients(state)[1:, 1:, 1:]
+    return float(np.einsum("u,v,w,uvw->", *weights, coeffs))
 
 
 def correlation_from_distribution(dist: OutcomeDistribution) -> float:
-    """Signed sum over an outcome distribution; cross-check for correlation()."""
-    total = 0.0
-    for oa, ob, oc in itertools.product((0, 1), repeat=3):
-        sign = outcome_sign(oa) * outcome_sign(ob) * outcome_sign(oc)
-        total += sign * float(dist.probs[oa, ob, oc])
-    return total
+    """Outcome-sign-weighted sum of the probabilities, equal to correlation()."""
+    return float(np.vdot(OUTCOME_SIGNS, dist.probs))

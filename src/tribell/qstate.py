@@ -146,9 +146,13 @@ def as_density(state: PureState | DensityMatrix) -> DensityMatrix:
 
 def state_from_jsonable(data) -> PureState | DensityMatrix:
     """Rebuild a state from its JSON form (8 [re, im] pairs, or 8x8 of them)."""
-    arr = np.asarray(data, dtype=float)
+    expected = "8 [re, im] amplitude pairs, or an 8x8 matrix of [re, im] pairs"
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"state JSON must hold {expected}: {exc}") from exc
     if arr.shape == (DIM, 2):
         return PureState(arr[:, 0] + 1j * arr[:, 1])
     if arr.shape == (DIM, DIM, 2):
         return DensityMatrix(arr[..., 0] + 1j * arr[..., 1])
-    raise ValueError(f"expected shape (8, 2) or (8, 8, 2) [re, im] data, got {arr.shape}")
+    raise ValueError(f"state JSON must hold {expected}; got shape {arr.shape}")

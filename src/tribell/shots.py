@@ -27,27 +27,10 @@ from .inequalities import (
     correlation_tensor,
     functional_value,
 )
-from .polarimetry import outcome_distribution, outcome_sign
+from .polarimetry import OUTCOME_SIGNS, outcome_distribution
 from .qstate import DensityMatrix, PureState, as_density
 
 _SETTING_CHOICES = tuple(itertools.product((0, 1), repeat=3))
-
-#: Product of the three outcome signs for each outcome index triple.
-_OUTCOME_SIGNS = np.array(
-    [
-        [[outcome_sign(oa) * outcome_sign(ob) * outcome_sign(oc) for oc in (0, 1)]
-         for ob in (0, 1)]
-        for oa in (0, 1)
-    ],
-    dtype=float,
-)
-
-#: Tensor entries whose per-setting errors enter each functional's error
-#: budget: the nonzero entries of its sign tensor, in index order.
-FUNCTIONAL_TERMS = {
-    functional: tuple(tuple(int(i) for i in idx) for idx in np.argwhere(signs))
-    for functional, signs in SIGN_TENSOR.items()
-}
 
 
 def _outcome_label(oa: int, ob: int, oc: int) -> str:
@@ -125,7 +108,7 @@ def sample_counts(
 def estimate_tensor(table: CountTable) -> tuple[CorrelationTensor, np.ndarray]:
     """Per-entry correlation estimates and their binomial standard errors."""
     n = table.n_shots_per_setting
-    estimates = (table.counts * _OUTCOME_SIGNS.reshape(1, 1, 1, 8)).sum(axis=-1) / n
+    estimates = (table.counts * OUTCOME_SIGNS.reshape(1, 1, 1, 8)).sum(axis=-1) / n
     std_errors = np.sqrt(np.maximum(0.0, 1.0 - estimates**2) / n)
     return CorrelationTensor(estimates), std_errors
 
@@ -177,11 +160,18 @@ def report_from_tensor(
 
 
 def estimate_inequality(table: CountTable, functional: Functional) -> EstimatedReport:
-    """Point estimate, quadrature-combined error, and significance from counts."""
+    """Point estimate, quadrature-combined error, and significance from counts.
+
+    The error is sqrt(sum c^2 sigma^2) over the functional's sign tensor c and
+    the per-entry errors sigma.
+    """
     functional = Functional(functional)
     tensor, entry_errors = estimate_tensor(table)
+    signs = SIGN_TENSOR[functional]
+    # Summed term by term in index order, so the reported error does not
+    # depend on the grouping of a vectorized reduction.
     std_error = math.sqrt(
-        sum(float(entry_errors[idx]) ** 2 for idx in FUNCTIONAL_TERMS[functional])
+        sum(float(c) ** 2 * float(s) ** 2 for c, s in zip(signs.flat, entry_errors.flat))
     )
     return report_from_tensor(tensor, functional, std_error=std_error)
 
@@ -190,14 +180,12 @@ def critical_visibility(
     state: PureState | DensityMatrix,
     pairs,
     functional: Functional,
-    v_tol: float = 1e-6,
 ) -> float:
     """Smallest visibility at which |functional| crosses its bound, in closed form.
 
     White noise contributes nothing to any correlation (the observables are
     traceless), so the functional of v*rho + (1-v)*identity/8 is v times its
-    value S at v = 1, and the crossing is v* = bound / |S|.  v_tol is accepted
-    for compatibility and ignored: the result is exact.
+    value S at v = 1, and the crossing is v* = bound / |S|.
     """
     functional = Functional(functional)
     value = abs(functional_value(correlation_tensor(state, pairs), functional))

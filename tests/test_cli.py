@@ -223,6 +223,20 @@ def test_state_file_of_wrong_json_type_exits_two(capsys, tmp_path):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("data", [{"a": 1}, [[1.0, 0.0]] * 7 + [[0.0]]])
+def test_state_file_of_wrong_form_names_accepted_forms(capsys, tmp_path, data):
+    state_path = tmp_path / "bad.json"
+    state_path.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "correlations", "--state", str(state_path), "--angles", "0"
+    )
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]
+    assert "8 [re, im] amplitude pairs" in message
+    assert "8x8 matrix" in message
+
+
 def test_directory_as_state_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "correlations", "--state", str(tmp_path), "--angles", "0")
     assert code == 2

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import random_angles, random_density
 from tribell import (
     Functional,
     OptimizationConfig,
     PureState,
+    SettingsPair,
     correlation_tensor,
     functional_value,
     lhv_max,
@@ -19,7 +23,7 @@ from tribell import (
     optimize,
     symmetric_pairs,
 )
-from tribell.optimizer import circular_distance, settings_distance
+from tribell.optimizer import _make_objective, circular_distance, settings_distance
 
 QUOTED_OPTIMUM = symmetric_pairs(math.radians(35.264), math.radians(144.736))
 
@@ -27,6 +31,18 @@ QUOTED_OPTIMUM = symmetric_pairs(math.radians(35.264), math.radians(144.736))
 @pytest.fixture(scope="module")
 def w_svetlichny_result():
     return optimize(make_w(), Functional.SVETLICHNY)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_objective_is_absolute_functional_value(seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng)
+    x = random_angles(rng, 6)
+    pairs = tuple(SettingsPair(x[2 * p], x[2 * p + 1]) for p in range(3))
+    tensor = correlation_tensor(rho, pairs)
+    for functional in Functional:
+        expected = abs(functional_value(tensor, functional))
+        assert abs(_make_objective(rho, functional)(x) - expected) < 1e-12
 
 
 def test_config_rejects_bad_values():

@@ -23,7 +23,7 @@ from tribell import (
     pure_to_density,
     wrap_phase,
 )
-from tribell.polarimetry import TWO_PI, OutcomeDistribution, zx_coefficients
+from tribell.polarimetry import TWO_PI, OutcomeDistribution, pauli_coefficients
 
 PAULI_Z = np.diag([1.0, -1.0])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -121,6 +121,26 @@ def test_distribution_simplex_and_consistency_on_random_states(seed):
     assert abs(value) <= 1.0 + 1e-10
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+def test_distribution_matches_kronecker_reference(seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng)
+    phis = random_angles(rng)
+    projectors = [analyzer_projectors(phi) for phi in phis]
+    dist = outcome_distribution(rho, phis)
+    for oa, ob, oc in np.ndindex(2, 2, 2):
+        op = np.kron(np.kron(projectors[0][oa], projectors[1][ob]), projectors[2][oc])
+        expected = float(np.trace(rho.entries @ op).real)
+        assert abs(dist.probs[oa, ob, oc] - expected) < 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pauli_coefficients_identity_entry_is_trace(seed):
+    # tr(rho) = 1 up to the rounding of the eight diagonal entries' sum.
+    coeffs = pauli_coefficients(random_density(np.random.default_rng(seed)))
+    assert abs(coeffs[0, 0, 0] - 1.0) < 1e-12
+
+
 @pytest.mark.parametrize("visibility", [1.0, 0.9123])
 @pytest.mark.parametrize(
     "state", [make_w(), make_ghz("linear_hv"), make_ghz("circular_rl")],
@@ -135,7 +155,7 @@ def test_zx_coefficients_equal_kronecker_traces_bitwise(state, visibility):
     for u, v, w in np.ndindex(2, 2, 2):
         op = np.kron(np.kron(paulis[u], paulis[v]), paulis[w])
         reference[u, v, w] = float(np.trace(mixed.entries @ op).real)
-    assert np.array_equal(zx_coefficients(mixed), reference)
+    assert np.array_equal(pauli_coefficients(mixed)[1:, 1:, 1:], reference)
 
 
 def test_w_correlations_known_values():

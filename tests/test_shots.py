@@ -94,6 +94,34 @@ def test_estimate_tensor_uniform_counts():
     assert np.allclose(std_errors, 1.0 / math.sqrt(200), atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [8, 200, 80_000])
+def test_estimate_inequality_error_on_uniform_counts(n):
+    # Every entry estimates 0 with error 1/sqrt(n); Mermin sums 4 of them.
+    table = CountTable(np.full((2, 2, 2, 8), n // 8, dtype=np.int64), n)
+    mermin = estimate_inequality(table, Functional.MERMIN)
+    svetlichny = estimate_inequality(table, Functional.SVETLICHNY)
+    assert mermin.std_error == pytest.approx(2.0 / math.sqrt(n), rel=1e-15)
+    assert svetlichny.std_error == pytest.approx(math.sqrt(8.0 / n), rel=1e-15)
+
+
+def test_estimate_inequality_error_is_quadrature_over_sign_tensor():
+    counts = np.zeros((2, 2, 2, 8), dtype=np.int64)
+    for i, j, k in np.ndindex(2, 2, 2):
+        counts[i, j, k] = [10 + 3 * i, 7, 2 + 5 * j, 9, 4, 6 + 4 * k, 1, 0]
+        counts[i, j, k, 7] = 100 - counts[i, j, k, :7].sum()
+    table = CountTable(counts, 100)
+    _, entry_errors = estimate_tensor(table)
+    mermin_terms = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
+    expected = {
+        Functional.MERMIN: math.sqrt(sum(entry_errors[idx] ** 2 for idx in mermin_terms)),
+        Functional.SVETLICHNY: math.sqrt(float((entry_errors**2).sum())),
+    }
+    for functional, error in expected.items():
+        assert estimate_inequality(table, functional).std_error == pytest.approx(
+            error, rel=1e-14
+        )
+
+
 def test_count_table_validation():
     counts = np.zeros((2, 2, 2, 8), dtype=np.int64)
     with pytest.raises(ValueError):
@@ -171,8 +199,6 @@ def test_critical_visibility_is_bound_over_full_value(functional, state, pairs):
     value = abs(functional_value(correlation_tensor(state, pairs), functional))
     v_star = critical_visibility(state, pairs, functional)
     assert v_star == BOUND[functional] / value
-    # v_tol is accepted and has no effect on the closed-form result.
-    assert critical_visibility(state, pairs, functional, v_tol=0.25) == v_star
 
 
 def test_critical_visibility_requires_violation():
