@@ -371,12 +371,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--functional", choices=("mermin", "svetlichny"), required=True)
     p.add_argument("--grid-step", type=float, default=15.0,
-                   help="coarse grid step in degrees (default 15)")
-    p.add_argument("--tolerance", type=float, default=1e-8)
-    p.add_argument("--max-iterations", type=int, default=2000)
+                   help="step in degrees of the symmetric seed grid, phi and phi' equal "
+                        "across parties; must divide 360, at least 0.5 (default 15)")
+    p.add_argument("--tolerance", type=float, default=1e-8,
+                   help="ascent stops when no phase moves more than this many radians "
+                        "in a sweep; values this close to the maximum tie (default 1e-8)")
+    p.add_argument("--max-iterations", type=int, default=2000,
+                   help="most ascent sweeps over parties a, b, c per start, "
+                        f"at most {optimizer.MAX_REFINE_ITERATIONS} (default 2000)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=0,
-                   help="extra random refinement starts beyond the grid seeds")
+                   help="extra random ascent starts beyond the grid seeds, "
+                        f"at most {optimizer.MAX_RANDOM_RESTARTS} (default 0)")
     p.add_argument("--trace-csv", help="also write the improvement trace to this CSV path")
     p.set_defaults(func=cmd_optimize)
 

@@ -1,11 +1,12 @@
-"""Derivative-free maximization of |S_M| or |S_V| over the six analyzer phases.
+"""Maximization of |S_M| or |S_V| over the six analyzer phases.
 
-The search is a coarse exhaustive grid on the party-symmetric subspace
-(phi_a = phi_b = phi_c, phi'_a = phi'_b = phi'_c), followed by pattern-search
-refinement in the full six-dimensional torus from the best grid points.
+A coarse exhaustive grid on the party-symmetric subspace (phi_a = phi_b =
+phi_c, phi'_a = phi'_b = phi'_c) seeds exact block-coordinate ascent on the
+six-dimensional torus: S is linear in each party's weights g = (cos phi,
+-sin phi), so one party's best phases, the other two fixed, are closed form.
 Everything is deterministic for a fixed config, including the reduction over
-refinement runs: maximum value first, then lexicographic settings among
-candidates within refine_tolerance of it.
+ascent runs: the first candidate in seed order within refine_tolerance of the
+maximum value.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from .inequalities import SIGN_TENSOR, Functional, SettingsPair
 from .polarimetry import TWO_PI, pauli_coefficients, wrap_phase
 from .qstate import DensityMatrix, PureState
 
-#: Any single phase enters at most 8 unit-derivative correlation terms, so 8
-#: bounds the objective's per-axis Lipschitz constant for both functionals.
-_LIPSCHITZ_BOUND = 8.0
-
 _TOP_SEEDS = 10
 
 #: Largest grid per phase axis: a 0.5 degree step, whose symmetric grid already
-#: costs 720^2 = 518400 objective evaluations before any refinement.
+#: scores 720^2 = 518400 points before any refinement.
 MAX_GRID_CELLS = 720
+
+#: Caps on the seed list and on the ascent sweeps per seed of any valid config.
+MAX_RANDOM_RESTARTS = 10_000
+MAX_REFINE_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ class OptimizationConfig:
             )
         if not (math.isfinite(self.refine_tolerance) and self.refine_tolerance > 0.0):
             raise ValueError(f"refine_tolerance must be positive, got {self.refine_tolerance}")
-        if self.max_refine_iterations < 1:
-            raise ValueError("max_refine_iterations must be at least 1")
-        if self.random_restarts < 0:
-            raise ValueError("random_restarts must be nonnegative")
+        if not 1 <= self.max_refine_iterations <= MAX_REFINE_ITERATIONS:
+            raise ValueError(f"max_refine_iterations must lie in [1, {MAX_REFINE_ITERATIONS}]")
+        if not 0 <= self.random_restarts <= MAX_RANDOM_RESTARTS:
+            raise ValueError(f"random_restarts must lie in [0, {MAX_RANDOM_RESTARTS}]")
 
     @property
     def grid_cells(self) -> int:
@@ -84,58 +85,59 @@ class OptimizationResult:
         }
 
 
-def _setting_weights(phi: float, phi_prime: float) -> np.ndarray:
-    """Per-setting (Z, X) weights of one party's two observables."""
-    return np.array(
-        [
-            [math.cos(phi), -math.sin(phi)],
-            [math.cos(phi_prime), -math.sin(phi_prime)],
-        ]
-    )
+def _phase_weights(phases) -> np.ndarray:
+    """(Z, X) weights (cos phi, -sin phi) of each phase, on a new last axis."""
+    phases = np.asarray(phases, dtype=float)
+    return np.stack((np.cos(phases), -np.sin(phases)), axis=-1)
+
+
+def _trilinear_form(state: PureState | DensityMatrix, functional: Functional):
+    """K[(i, u), (j, v), (k, w)] = c[i, j, k] T[u, v, w] as a 4x4x4 array.
+
+    S is K contracted with the weights (g(phi), g(phi')) of parties a, b, c.
+    """
+    coeffs = pauli_coefficients(state)[1:, 1:, 1:]
+    signs = SIGN_TENSOR[Functional(functional)]
+    return np.einsum("ijk,uvw->iujvkw", signs, coeffs).reshape(4, 4, 4)
 
 
 def _make_objective(state: PureState | DensityMatrix, functional: Functional):
-    coeffs = pauli_coefficients(state)[1:, 1:, 1:]
-    signs = SIGN_TENSOR[Functional(functional)]
+    form = _trilinear_form(state, functional)
 
     def objective(x) -> float:
-        ga = _setting_weights(x[0], x[1])
-        gb = _setting_weights(x[2], x[3])
-        gc = _setting_weights(x[4], x[5])
-        return abs(float(np.einsum("ijk,iu,jv,kw,uvw->", signs, ga, gb, gc, coeffs)))
+        g = _phase_weights(x).reshape(3, 4)
+        return abs(float(form @ g[2] @ g[1] @ g[0]))
 
     return objective
 
 
-def _pattern_search(objective, x0, step0, step_floor, max_sweeps):
-    """Greedy axis-move pattern search on the 6-torus.
+def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
+    """Exact block-coordinate ascent of |S| from x0, one party at a time.
 
-    Each sweep evaluates +-step along every axis and takes the best improving
-    move; when none improves, the step is halved.  Terminates once the step
-    falls below step_floor or the sweep budget is exhausted.
+    With two parties fixed, S = sum_s g_s . v_s over the third party's settings
+    s, so g_s = v_s / |v_s| maximizes it, to |v_0| + |v_1|.  The sign of S is
+    taken once, at x0.  Sweeps parties a, b, c until no phase moves by more
+    than `tolerance` radians in a sweep, or for at most `max_sweeps` sweeps.
     """
-    x = tuple(x0)
-    f = objective(x)
-    step = step0
+    x = list(x0)
+    g = _phase_weights(x).reshape(3, 4)
+    sign = 1.0 if form @ g[2] @ g[1] @ g[0] >= 0.0 else -1.0
     sweeps = 0
-    while step > step_floor and sweeps < max_sweeps:
+    moved = math.inf
+    while moved > tolerance and sweeps < max_sweeps:
         sweeps += 1
-        best_x = None
-        best_f = f
-        for axis in range(6):
-            for delta in (step, -step):
-                y = list(x)
-                y[axis] = (y[axis] + delta) % TWO_PI
-                y = tuple(y)
-                fy = objective(y)
-                if fy > best_f:
-                    best_f = fy
-                    best_x = y
-        if best_x is None:
-            step *= 0.5
-        else:
-            x, f = best_x, best_f
-    return x, f, sweeps
+        moved = 0.0
+        for party in range(3):
+            first, second = (q for q in range(3) if q != party)
+            field = sign * (np.moveaxis(form, party, 0) @ g[second] @ g[first])
+            for s, (vz, vx) in enumerate(field.reshape(2, 2)):
+                if vz == 0.0 and vx == 0.0:
+                    continue  # every phase is optimal; keep this one
+                phi = wrap_phase(math.atan2(-vx, vz))
+                moved = max(moved, circular_distance(phi, x[2 * party + s]))
+                x[2 * party + s] = phi
+            g[party] = _phase_weights(x[2 * party : 2 * party + 2]).reshape(4)
+    return tuple(x), abs(float(form @ g[2] @ g[1] @ g[0])), sweeps
 
 
 def optimize(
@@ -145,37 +147,35 @@ def optimize(
 ) -> OptimizationResult:
     """Maximize |functional| over the six analyzer phases.
 
-    Returns the settings of the best refined candidate; candidates whose
-    values agree within refine_tolerance count as ties and the
-    lexicographically smallest settings tuple among them is reported.
+    Candidates come in seed order: the best grid points, highest score first
+    and smaller settings first among equal scores, then the random restarts
+    in draw order.  The first candidate whose value lies within
+    refine_tolerance of the maximum over all candidates is reported.
     """
     if config is None:
         config = OptimizationConfig()
-    objective = _make_objective(state, functional)
+    form = _trilinear_form(state, functional)
 
     n = config.grid_cells
-    grid = [i * TWO_PI / n for i in range(n)]
-    scored = []
-    for phi in grid:
-        for phi_prime in grid:
-            x = (phi, phi_prime, phi, phi_prime, phi, phi_prime)
-            scored.append((objective(x), x))
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    seeds = [x for _, x in scored[:_TOP_SEEDS]]
+    grid = np.arange(n) * TWO_PI / n
+    g = _phase_weights(grid)
+    # Weights (g(phi), g(phi')) of every symmetric grid point, row-major in
+    # (phi, phi'), so the stable sort puts smaller settings first among ties.
+    points = np.concatenate((np.repeat(g, n, axis=0), np.tile(g, (n, 1))), axis=1)
+    scores = np.abs(np.einsum("abc,na,nb,nc->n", form, points, points, points, optimize=True))
+    top = np.argsort(-scores, kind="stable")[:_TOP_SEEDS]
+    seeds = [(float(grid[i // n]), float(grid[i % n])) * 3 for i in top]
 
     rng = np.random.default_rng(config.seed)
     for _ in range(config.random_restarts):
         seeds.append(tuple(float(v) for v in rng.uniform(0.0, TWO_PI, 6)))
 
-    trace = [(0, scored[0][0])]
-    step_floor = config.refine_tolerance / _LIPSCHITZ_BOUND
+    best_so_far = float(scores[top[0]])
+    trace = [(0, best_so_far)]
     total_sweeps = 0
     candidates = []
-    best_so_far = scored[0][0]
     for x0 in seeds:
-        x, f, sweeps = _pattern_search(
-            objective, x0, config.grid_step, step_floor, config.max_refine_iterations
-        )
+        x, f, sweeps = _ascend(form, x0, config.refine_tolerance, config.max_refine_iterations)
         total_sweeps += sweeps
         candidates.append((f, x))
         if f > best_so_far:
@@ -183,9 +183,9 @@ def optimize(
             trace.append((total_sweeps, f))
 
     max_value = max(f for f, _ in candidates)
-    tied = [x for f, x in candidates if f >= max_value - config.refine_tolerance]
-    best_x = min(tied)
-    best_value = objective(best_x)
+    best_value, best_x = next(
+        (f, x) for f, x in candidates if f >= max_value - config.refine_tolerance
+    )
 
     pairs = tuple(
         SettingsPair(best_x[2 * p], best_x[2 * p + 1]) for p in range(3)

@@ -254,3 +254,15 @@ def test_output_in_missing_directory_exits_two(capsys, tmp_path):
     assert out == ""
     assert "error" in json.loads(err)
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--restarts", "1000000000000"), ("--max-iterations", "1000000000000")]
+)
+def test_optimize_rejects_unbounded_work(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "optimize", "--state", "w", "--functional", "svetlichny", flag, value
+    )
+    assert code == 2
+    assert out == ""
+    assert "must lie in" in json.loads(err)["error"]

@@ -1,6 +1,7 @@
-"""Tests for the grid + pattern-search optimizer over analyzer phases."""
+"""Tests for the optimizer: symmetric grid seeds, then exact block-coordinate ascent."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,15 @@ from tribell import (
     optimize,
     symmetric_pairs,
 )
-from tribell.optimizer import _make_objective, circular_distance, settings_distance
+from tribell.optimizer import (
+    MAX_RANDOM_RESTARTS,
+    MAX_REFINE_ITERATIONS,
+    _ascend,
+    _make_objective,
+    _trilinear_form,
+    circular_distance,
+    settings_distance,
+)
 
 QUOTED_OPTIMUM = symmetric_pairs(math.radians(35.264), math.radians(144.736))
 
@@ -63,6 +72,59 @@ def test_config_bounds_the_grid():
     for step in (math.radians(0.4), 1e-300, 5e-324):
         with pytest.raises(ValueError, match="at most 720 cells"):
             OptimizationConfig(grid_step=step)
+
+
+def test_config_bounds_restarts_and_sweeps():
+    # Constructing the config only; no seed list or ascent is ever built here.
+    OptimizationConfig(random_restarts=MAX_RANDOM_RESTARTS)
+    OptimizationConfig(max_refine_iterations=MAX_REFINE_ITERATIONS)
+    restarts_limit = re.escape(f"random_restarts must lie in [0, {MAX_RANDOM_RESTARTS}]")
+    for restarts in (MAX_RANDOM_RESTARTS + 1, 10**9, 10**12):
+        with pytest.raises(ValueError, match=restarts_limit):
+            OptimizationConfig(random_restarts=restarts)
+    sweeps_limit = re.escape(f"max_refine_iterations must lie in [1, {MAX_REFINE_ITERATIONS}]")
+    for sweeps in (MAX_REFINE_ITERATIONS + 1, 10**9):
+        with pytest.raises(ValueError, match=sweeps_limit):
+            OptimizationConfig(max_refine_iterations=sweeps)
+
+
+def _functional_at(rho, x, functional):
+    pairs = tuple(SettingsPair(x[2 * p], x[2 * p + 1]) for p in range(3))
+    return functional_value(correlation_tensor(rho, pairs), functional)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_party_update_attains_closed_form_block_maximum(seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng)
+    x0 = random_angles(rng, 6)
+    grid = np.arange(72) * 2.0 * math.pi / 72
+    grid_weights = np.stack((np.cos(grid), -np.sin(grid)), axis=-1)
+    for functional in Functional:
+        # One sweep ends with party c's closed-form update, a and b fixed.
+        x, value, _ = _ascend(_trilinear_form(rho, functional), x0, 1e-8, 1)
+        # S is linear in each of party c's weights (cos phi, -sin phi), so
+        # moving one phase by pi, or from pi/2 to 3pi/2, isolates its field.
+        fields = []
+        for s in (4, 5):
+            at = {phi: _functional_at(rho, x[:s] + (phi,) + x[s + 1:], functional)
+                  for phi in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)}
+            z_field = (at[0.0] - at[math.pi]) / 2
+            x_field = (at[3 * math.pi / 2] - at[math.pi / 2]) / 2
+            fields.append(np.array([z_field, x_field]))
+        block_max = np.linalg.norm(fields[0]) + np.linalg.norm(fields[1])
+        assert abs(value - block_max) < 1e-12
+        assert abs(abs(_functional_at(rho, x, functional)) - block_max) < 1e-12
+        on_grid = (grid_weights @ fields[0])[:, None] + (grid_weights @ fields[1])[None, :]
+        assert np.abs(on_grid).max() <= block_max + 1e-12
+
+
+def test_ascent_with_unreachable_tolerance_stops_at_sweep_cap():
+    # W Mermin converges slowly: uncapped, its first improvement comes after 689 sweeps.
+    config = OptimizationConfig(refine_tolerance=5e-324, max_refine_iterations=3)
+    result = optimize(make_w(), Functional.MERMIN, config)
+    assert len(result.trace) > 1
+    assert result.trace[-1][0] <= 3 * result.restarts_used
 
 
 def test_w_svetlichny_reaches_quoted_maximum(w_svetlichny_result):
