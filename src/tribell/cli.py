@@ -396,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--pairs", required=True,
                    help="phi,phi' for all parties, or six per-party values")
-    p.add_argument("--shots", type=int, required=True, help="shots per setting choice")
+    p.add_argument("--shots", type=int, required=True,
+                   help="shots per setting choice, "
+                        f"at most {shots.MAX_SHOTS_PER_SETTING} (2**63 - 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--functional", choices=("mermin", "svetlichny", "both"),
                    default="both")

@@ -125,6 +125,15 @@ def test_sample_rejects_zero_shots(capsys):
     assert excinfo.value.code == 2
 
 
+def test_sample_rejects_shots_beyond_int64(capsys):
+    code, out, err = run_cli(
+        capsys, "sample", "--state", "w", "--pairs", "90,0", "--shots", str(2**63)
+    )
+    assert code == 2
+    assert out == ""
+    assert "2**63 - 1" in json.loads(err)["error"]
+
+
 def test_correlations_single_angles(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,18 +1,23 @@
 """Tests for finite-statistics sampling, estimation, and the visibility threshold."""
 
+import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_density
 from tribell import (
     BOUND,
     Classification,
     CorrelationTensor,
     CountTable,
     Functional,
+    SettingsPair,
     correlation_tensor,
     critical_visibility,
     estimate_inequality,
@@ -21,11 +26,13 @@ from tribell import (
     make_w,
     maximally_mixed,
     mix_with_white_noise,
+    outcome_distribution,
     pure_to_density,
     report_from_tensor,
     sample_counts,
     symmetric_pairs,
 )
+from tribell.shots import MAX_SHOTS_PER_SETTING
 
 COMMENT_PAIRS = symmetric_pairs(math.pi / 2.0, 0.0)
 OPTIMAL_PAIRS = symmetric_pairs(math.radians(35.264), math.radians(144.736))
@@ -77,6 +84,62 @@ def test_large_sample_entry_within_five_sigma():
     table = sample_counts(make_w(), COMMENT_PAIRS, 1_000_000, seed=23)
     tensor, std_errors = estimate_tensor(table)
     assert abs(tensor[0, 0, 1] - 2.0 / 3.0) < 5.0 * std_errors[0, 0, 1]
+
+
+@pytest.mark.parametrize("n", [10**12, MAX_SHOTS_PER_SETTING])
+def test_sampling_work_and_memory_do_not_grow_with_shots(n):
+    sample_counts(make_w(), COMMENT_PAIRS, 1, seed=1)  # one-off lazy set-up
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        table = sample_counts(make_w(), COMMENT_PAIRS, n, seed=1)
+        elapsed = time.perf_counter() - start
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (table.counts.sum(axis=-1) == n).all()
+    assert elapsed < 1.0
+    assert peak_bytes < 1_000_000
+
+
+def test_shot_count_beyond_int64_is_rejected():
+    with pytest.raises(ValueError, match=r"\[1, 2\*\*63 - 1\]"):
+        sample_counts(make_w(), COMMENT_PAIRS, MAX_SHOTS_PER_SETTING + 1, seed=1)
+
+
+def test_counts_follow_outcome_index_order():
+    # A rank-3 state whose eight outcome probabilities differ, at every setting
+    # choice, by more than the sum of their 6-sigma windows: a swapped reshape
+    # or port order would put some count outside its window.
+    rho = random_density(np.random.default_rng(4), rank=3)
+    pairs = tuple(
+        SettingsPair(math.radians(phi), math.radians(phi_prime))
+        for phi, phi_prime in ((135, 29), (357, 41), (63, 343))
+    )
+    n = 1_000_000
+    table = sample_counts(rho, pairs, n, seed=11)
+    for i, j, k in itertools.product((0, 1), repeat=3):
+        phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
+        expected = n * outcome_distribution(rho, phis).probs.reshape(8)
+        window = 6.0 * np.sqrt(expected * (1.0 - expected / n))
+        for a, b in itertools.combinations(range(8), 2):
+            assert abs(expected[a] - expected[b]) > window[a] + window[b]
+        for oa, ob, oc in itertools.product((0, 1), repeat=3):
+            index = 4 * oa + 2 * ob + oc
+            assert abs(table.counts[i, j, k, index] - expected[index]) <= window[index]
+
+
+@pytest.mark.parametrize("party", [0, 1, 2])
+def test_setting_blocks_depend_only_on_seed_and_choice(party):
+    # Moving one party's primed angle may change only the blocks that use it.
+    base = sample_counts(make_w(), OPTIMAL_PAIRS, 10_000, seed=7)
+    pairs = list(OPTIMAL_PAIRS)
+    pairs[party] = SettingsPair(pairs[party].phi, pairs[party].phi_prime + 0.3)
+    moved = sample_counts(make_w(), pairs, 10_000, seed=7)
+    unprimed = (slice(None),) * party + (0,)
+    primed = (slice(None),) * party + (1,)
+    assert np.array_equal(moved.counts[unprimed], base.counts[unprimed])
+    assert not np.array_equal(moved.counts[primed], base.counts[primed])
 
 
 def test_estimate_tensor_degenerate_counts():
