@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -30,7 +31,12 @@ from .qstate import (
     state_from_jsonable,
 )
 
-NAMED_STATES = ("w", "ghz-hv", "ghz-rl")
+#: CLI state names and the constructors they stand for.
+NAMED_STATES = {
+    "w": make_w,
+    "ghz-hv": lambda: make_ghz("linear_hv"),
+    "ghz-rl": lambda: make_ghz("circular_rl"),
+}
 
 
 def render_json(payload) -> str:
@@ -44,27 +50,39 @@ def render_csv(rows) -> str:
     return buffer.getvalue()
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        Path(output).write_text(text)
+def _emit(args, payload, csv_rows, table_lines) -> None:
+    """Write the report in the requested --format to --output, or to stdout.
+
+    csv_rows and table_lines are zero-argument callables that return the CSV
+    rows and the table's lines, so only the requested form is ever built.
+    """
+    if args.format == "json":
+        text = render_json(payload)
+    elif args.format == "csv":
+        text = render_csv(csv_rows())
+    else:
+        text = "\n".join(table_lines()) + "\n"
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
 def _load_state(state_arg: str):
-    name = state_arg.lower()
-    if name == "w":
-        return make_w()
-    if name == "ghz-hv":
-        return make_ghz("linear_hv")
-    if name == "ghz-rl":
-        return make_ghz("circular_rl")
+    constructor = NAMED_STATES.get(state_arg.lower())
+    if constructor is not None:
+        return constructor()
     path = Path(state_arg)
     if not path.exists():
         raise ValueError(
-            f"unknown state {state_arg!r}: use one of {NAMED_STATES} or a JSON file path"
+            f"unknown state {state_arg!r}: use one of {tuple(NAMED_STATES)} "
+            "or a JSON file path"
         )
-    return state_from_jsonable(json.loads(path.read_text()))
+    try:
+        data = json.loads(path.read_text())
+    except RecursionError:
+        raise ValueError(f"state file {state_arg!r} is nested too deeply") from None
+    return state_from_jsonable(data)
 
 
 def _prepare_state(args):
@@ -146,7 +164,7 @@ def run_reproduction() -> list[dict]:
     return results
 
 
-def _reproduce_table(rows) -> str:
+def _reproduce_table(rows) -> list[str]:
     width = max(len(r["label"]) for r in rows) + 2
     lines = [f"{'check':<{width}}{'value':>14}{'expected':>12}{'tol':>10}  status"]
     for r in rows:
@@ -157,24 +175,18 @@ def _reproduce_table(rows) -> str:
         )
     n_pass = sum(r["passed"] for r in rows)
     lines.append(f"{n_pass}/{len(rows)} checks passed")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def cmd_reproduce(args) -> int:
     rows = run_reproduction()
     all_passed = all(r["passed"] for r in rows)
-    if args.format == "json":
-        text = render_json({"all_passed": all_passed, "rows": rows})
-    elif args.format == "csv":
-        csv_rows = [["id", "label", "value", "expected", "tolerance", "passed"]]
-        csv_rows += [
-            [r["id"], r["label"], r["value"], r["expected"], r["tolerance"], r["passed"]]
-            for r in rows
-        ]
-        text = render_csv(csv_rows)
-    else:
-        text = _reproduce_table(rows)
-    _emit(text, args.output)
+    _emit(
+        args,
+        {"all_passed": all_passed, "rows": rows},
+        lambda: [list(rows[0])] + [list(r.values()) for r in rows],
+        lambda: _reproduce_table(rows),
+    )
     return 0 if all_passed else 1
 
 
@@ -189,50 +201,39 @@ def cmd_optimize(args) -> int:
     )
     functional = Functional(args.functional)
     result = optimizer.optimize(state, functional, config)
-    if args.trace_csv:
-        Path(args.trace_csv).write_text(
-            render_csv([["iteration", "value"]] + [[i, v] for i, v in result.trace])
-        )
     report = classify(result.best_value, functional)
     payload = result.to_jsonable()
     payload.update(
         {"functional": functional.value, "state": args.state,
          "report": report.to_jsonable()}
     )
-    if args.format == "json":
-        text = render_json(payload)
-    elif args.format == "csv":
-        text = render_csv([["iteration", "value"]] + [[i, v] for i, v in result.trace])
-    else:
-        lines = [f"max |S_{'M' if functional is Functional.MERMIN else 'V'}| = "
-                 f"{result.best_value:.9f}  ({report.classification.value})"]
-        for name, pair in zip("abc", result.best_settings):
-            lines.append(
-                f"  party {name}: phi = {math.degrees(pair.phi):10.5f} deg, "
-                f"phi' = {math.degrees(pair.phi_prime):10.5f} deg"
-            )
-        lines.append(f"  restarts used: {result.restarts_used}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+
+    def trace_rows():
+        return [["iteration", "value"], *payload["trace"]]
+
+    if args.trace_csv:
+        Path(args.trace_csv).write_text(render_csv(trace_rows()))
+    symbol = "M" if functional is Functional.MERMIN else "V"
+    _emit(args, payload, trace_rows, lambda: [
+        f"max |S_{symbol}| = {result.best_value:.9f}  ({report.classification.value})",
+        *(f"  party {name}: phi = {phi:10.5f} deg, phi' = {phi_prime:10.5f} deg"
+          for name, (phi, phi_prime) in zip("abc", payload["settings_degrees"])),
+        f"  restarts used: {result.restarts_used}",
+    ])
     return 0
 
 
 def cmd_lhv_scan(args) -> int:
     result = lhv_max(Functional(args.functional), ModelClass(args.model))
-    payload = result.to_jsonable()
-    if args.format == "json":
-        text = render_json(payload)
-    elif args.format == "csv":
-        text = render_csv(
-            [["functional", "model", "max_value"],
-             [result.functional.value, result.model.value, result.max_value]]
-        )
-    else:
-        text = (
-            f"max |{result.functional.value}| over {result.model.value} models: "
-            f"{result.max_value:g}\nwitness: {json.dumps(result.witness.to_jsonable())}\n"
-        )
-    _emit(text, args.output)
+    functional, model = result.functional.value, result.model.value
+    _emit(
+        args,
+        result.to_jsonable(),
+        lambda: [["functional", "model", "max_value"],
+                 [functional, model, result.max_value]],
+        lambda: [f"max |{functional}| over {model} models: {result.max_value:g}",
+                 f"witness: {json.dumps(result.witness.to_jsonable())}"],
+    )
     return 0
 
 
@@ -245,40 +246,27 @@ def cmd_sample(args) -> int:
         list(Functional) if args.functional == "both" else [Functional(args.functional)]
     )
     degenerate = _scenario_degenerate(pairs)
-    reports = {}
-    for functional in functionals:
-        report = shots.estimate_inequality(table, functional)
-        if degenerate:
-            report = shots.report_from_tensor(
-                tensor, functional, std_error=report.std_error, degenerate=True
-            )
-        reports[functional.value] = report
-    if args.format == "json":
-        payload = {
-            "n_shots_per_setting": table.n_shots_per_setting,
-            "seed": args.seed,
-            "tensor": tensor.to_jsonable(),
-            "std_errors": {
-                key: float(std_errors[tuple(int(ch) for ch in key)])
-                for key in tensor.to_jsonable()
-            },
-            "reports": {name: rep.to_jsonable() for name, rep in reports.items()},
-        }
-        text = render_json(payload)
-    elif args.format == "csv":
-        text = render_csv(table.to_csv_rows())
-    else:
-        lines = [f"n = {table.n_shots_per_setting} shots per setting, seed = {args.seed}"]
-        for key, value in tensor.to_jsonable().items():
-            err = float(std_errors[tuple(int(ch) for ch in key)])
-            lines.append(f"  E[{key}] = {value:+.6f} +- {err:.6f}")
-        for name, rep in reports.items():
-            lines.append(
-                f"{name}: value = {rep.value:+.6f} +- {rep.std_error:.6f}, "
-                f"z = {rep.z_score:+.2f}, {rep.classification.value}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    reports = {
+        f.value: dataclasses.replace(shots.estimate_inequality(table, f), degenerate=degenerate)
+        for f in functionals
+    }
+    estimates = tensor.to_jsonable()
+    errors = {key: float(std_errors[tuple(map(int, key))]) for key in estimates}
+    payload = {
+        "n_shots_per_setting": table.n_shots_per_setting,
+        "seed": args.seed,
+        "tensor": estimates,
+        "std_errors": errors,
+        "reports": {name: rep.to_jsonable() for name, rep in reports.items()},
+    }
+    _emit(args, payload, table.to_csv_rows, lambda: [
+        f"n = {table.n_shots_per_setting} shots per setting, seed = {args.seed}",
+        *(f"  E[{key}] = {value:+.6f} +- {errors[key]:.6f}"
+          for key, value in estimates.items()),
+        *(f"{name}: value = {rep.value:+.6f} +- {rep.std_error:.6f}, "
+          f"z = {rep.z_score:+.2f}, {rep.classification.value}"
+          for name, rep in reports.items()),
+    ])
     return 0
 
 
@@ -292,49 +280,36 @@ def cmd_correlations(args) -> int:
             f.value: classify(functional_value(tensor, f), f, degenerate=degenerate)
             for f in Functional
         }
-        if args.format == "json":
-            text = render_json(
-                {
-                    "tensor": tensor.to_jsonable(),
-                    "reports": {name: rep.to_jsonable() for name, rep in reports.items()},
-                }
-            )
-        elif args.format == "csv":
-            text = render_csv(tensor.to_csv_rows())
-        else:
-            lines = [f"  E[{key}] = {value:+.6f}" for key, value in tensor.to_jsonable().items()]
-            for name, rep in reports.items():
-                lines.append(
-                    f"{name}: value = {rep.value:+.6f} (bound {rep.bound:g}), "
-                    f"{rep.classification.value}"
-                )
-            text = "\n".join(lines) + "\n"
-    else:
-        values = _to_radians(_parse_floats(args.angles, "--angles"), args.radians)
-        if len(values) == 1:
-            values = values * 3
-        if len(values) != 3:
-            raise ValueError("--angles takes 1 value (all parties) or 3 (per party)")
-        dist = outcome_distribution(state, values)
-        value = correlation(state, values)
-        if args.format == "json":
-            text = render_json(
-                {
-                    "angles_radians": values,
-                    "angles_degrees": [math.degrees(v) for v in values],
-                    "correlation": value,
-                    "distribution": dist.to_jsonable(),
-                }
-            )
-        elif args.format == "csv":
-            rows = [["outcome", "probability"]]
-            rows += [[key, p] for key, p in dist.to_jsonable().items()]
-            text = render_csv(rows)
-        else:
-            lines = [f"E = {value:+.9f}"]
-            lines += [f"  P({key}) = {p:.6f}" for key, p in dist.to_jsonable().items()]
-            text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+        estimates = tensor.to_jsonable()
+        payload = {
+            "tensor": estimates,
+            "reports": {name: rep.to_jsonable() for name, rep in reports.items()},
+        }
+        _emit(args, payload, tensor.to_csv_rows, lambda: [
+            *(f"  E[{key}] = {value:+.6f}" for key, value in estimates.items()),
+            *(f"{name}: value = {rep.value:+.6f} (bound {rep.bound:g}), "
+              f"{rep.classification.value}" for name, rep in reports.items()),
+        ])
+        return 0
+    values = _to_radians(_parse_floats(args.angles, "--angles"), args.radians)
+    if len(values) == 1:
+        values = values * 3
+    if len(values) != 3:
+        raise ValueError("--angles takes 1 value (all parties) or 3 (per party)")
+    dist = outcome_distribution(state, values).to_jsonable()
+    value = correlation(state, values)
+    payload = {
+        "angles_radians": values,
+        "angles_degrees": [math.degrees(v) for v in values],
+        "correlation": value,
+        "distribution": dist,
+    }
+    _emit(
+        args,
+        payload,
+        lambda: [["outcome", "probability"], *dist.items()],
+        lambda: [f"E = {value:+.9f}", *(f"  P({key}) = {p:.6f}" for key, p in dist.items())],
+    )
     return 0
 
 

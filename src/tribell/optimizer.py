@@ -53,6 +53,11 @@ class OptimizationConfig:
                 f"grid_step must divide 2*pi into an integer number of cells, "
                 f"got {cells} cells"
             )
+        if round(cells) < 1:
+            raise ValueError(
+                f"grid_step must give 1 to {MAX_GRID_CELLS} cells (from 360 down to 0.5 "
+                f"degrees), got {cells:.6g} cells"
+            )
         if not (math.isfinite(self.refine_tolerance) and self.refine_tolerance > 0.0):
             raise ValueError(f"refine_tolerance must be positive, got {self.refine_tolerance}")
         if not 1 <= self.max_refine_iterations <= MAX_REFINE_ITERATIONS:

@@ -149,7 +149,7 @@ def state_from_jsonable(data) -> PureState | DensityMatrix:
     expected = "8 [re, im] amplitude pairs, or an 8x8 matrix of [re, im] pairs"
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"state JSON must hold {expected}: {exc}") from exc
     if arr.shape == (DIM, 2):
         return PureState(arr[:, 0] + 1j * arr[:, 1])

@@ -148,13 +148,7 @@ def report_from_tensor(
     value = functional_value(tensor, functional)
     base = classify(value, functional, degenerate=degenerate)
     return EstimatedReport(
-        functional=base.functional,
-        value=base.value,
-        bound=base.bound,
-        algebraic_max=base.algebraic_max,
-        violated=base.violated,
-        classification=base.classification,
-        degenerate=base.degenerate,
+        **vars(base),
         std_error=float(std_error),
         z_score=_z_score(base.value, base.bound, float(std_error)),
     )

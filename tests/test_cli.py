@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from tribell import cli, make_w
+from tribell import CorrelationTensor, cli, make_w, shots
 
 
 def run_cli(capsys, *argv):
@@ -275,3 +275,109 @@ def test_optimize_rejects_unbounded_work(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert "must lie in" in json.loads(err)["error"]
+
+
+def test_state_file_beyond_float_range_names_accepted_forms(capsys, tmp_path):
+    state_path = tmp_path / "huge.json"
+    state_path.write_text("[[" + str(10**400) + ", 0]" + ", [0, 0]" * 7 + "]")
+    code, out, err = run_cli(
+        capsys, "correlations", "--state", str(state_path), "--angles", "0"
+    )
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]
+    assert "8 [re, im] amplitude pairs" in message
+    assert "8x8 matrix" in message
+
+
+def test_state_file_nested_too_deeply_exits_two(capsys, tmp_path):
+    state_path = tmp_path / "deep.json"
+    state_path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(
+        capsys, "correlations", "--state", str(state_path), "--angles", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in json.loads(err)["error"]
+
+
+def test_optimize_rejects_grid_step_wider_than_a_turn(capsys):
+    code, out, err = run_cli(
+        capsys, "optimize", "--state", "w", "--functional", "svetlichny",
+        "--grid-step", "1e20",
+    )
+    assert code == 2
+    assert out == ""
+    assert "1 to 720 cells" in json.loads(err)["error"]
+
+
+REQUESTS = {
+    "reproduce": ["reproduce"],
+    "optimize": ["optimize", "--state", "w", "--functional", "svetlichny",
+                 "--grid-step", "30"],
+    "lhv-scan": ["lhv-scan", "--functional", "mermin", "--model", "local"],
+    "sample": ["sample", "--state", "w", "--pairs", "90,0", "--shots", "100",
+               "--seed", "1"],
+    "correlations-angles": ["correlations", "--state", "w", "--angles", "90,90,0"],
+    "correlations-pairs": ["correlations", "--state", "w", "--pairs", "90,0"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("request_name", sorted(REQUESTS))
+def test_output_file_holds_the_stdout_report(capsys, tmp_path, request_name, fmt):
+    argv = REQUESTS[request_name] + ["--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n")
+    target = tmp_path / "report"
+    assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_lhv_scan_table_and_csv_text(capsys):
+    argv = ["lhv-scan", "--functional", "mermin", "--model", "local"]
+    _, table, _ = run_cli(capsys, *argv)
+    assert table == (
+        "max |mermin| over local models: 2\n"
+        'witness: {"model": "local", "outputs": {"a": {"unprimed": 1, "primed": 1}, '
+        '"b": {"unprimed": 1, "primed": 1}, "c": {"unprimed": 1, "primed": 1}}}\n'
+    )
+    _, text, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert text == "functional,model,max_value\nmermin,local,2.0\n"
+
+
+def test_correlations_angles_table_and_csv_text(capsys):
+    argv = ["correlations", "--state", "w", "--angles", "90,90,0"]
+    _, table, _ = run_cli(capsys, *argv)
+    assert table == (
+        "E = +0.666666667\n"
+        "  P(+++) = 0.333333\n"
+        "  P(++-) = 0.083333\n"
+        "  P(+-+) = 0.000000\n"
+        "  P(+--) = 0.083333\n"
+        "  P(-++) = 0.000000\n"
+        "  P(-+-) = 0.083333\n"
+        "  P(--+) = 0.333333\n"
+        "  P(---) = 0.083333\n"
+    )
+    _, text, _ = run_cli(capsys, *argv, "--format", "csv")
+    rows = list(csv.reader(io.StringIO(text)))
+    # Labels and order are exact; the probabilities' last digits follow the
+    # floating-point summation order, so they are compared within 1e-12.
+    assert rows[0] == ["outcome", "probability"]
+    assert [row[0] for row in rows[1:]] == ["+++", "++-", "+-+", "+--", "-++", "-+-", "--+", "---"]
+    expected = [1 / 3, 1 / 12, 0, 1 / 12, 0, 1 / 12, 1 / 3, 1 / 12]
+    assert [float(row[1]) for row in rows[1:]] == pytest.approx(expected, abs=1e-12)
+
+
+def test_json_request_builds_no_csv_rows(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("CSV rows built for a JSON request")
+
+    monkeypatch.setattr(shots.CountTable, "to_csv_rows", refuse)
+    monkeypatch.setattr(CorrelationTensor, "to_csv_rows", refuse)
+    for name in ("sample", "correlations-pairs"):
+        code, out, _ = run_cli(capsys, *REQUESTS[name], "--format", "json")
+        assert code == 0
+        assert "tensor" in json.loads(out)

@@ -72,6 +72,10 @@ def test_config_bounds_the_grid():
     for step in (math.radians(0.4), 1e-300, 5e-324):
         with pytest.raises(ValueError, match="at most 720 cells"):
             OptimizationConfig(grid_step=step)
+    assert OptimizationConfig(grid_step=math.radians(360.0)).grid_cells == 1
+    for step in (math.radians(1e20), 1e300):
+        with pytest.raises(ValueError, match="1 to 720 cells"):
+            OptimizationConfig(grid_step=step)
 
 
 def test_config_bounds_restarts_and_sweeps():
