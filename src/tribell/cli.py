@@ -122,34 +122,40 @@ def load_reproduce_manifest() -> list[dict]:
     return json.loads(text)["rows"]
 
 
-def _row_state_and_pairs(params: dict):
-    """The state and symmetric settings a manifest row names."""
+def _row_state_and_pairs(params: dict, states: dict):
+    """The state (from `states`, keyed by name) and symmetric settings a row names."""
     pairs = symmetric_pairs(
         math.radians(params["phi_deg"]), math.radians(params["phi_prime_deg"])
     )
-    return _load_state(params["state"]), pairs
+    return states[params["state"]], pairs
 
 
-def _evaluate_manifest_row(row: dict) -> float:
+def _evaluate_manifest_row(row: dict, states: dict) -> float:
     kind = row["kind"]
     params = row["params"]
     functional = Functional(params["functional"])
     if kind == "functional_value":
-        state, pairs = _row_state_and_pairs(params)
+        state, pairs = _row_state_and_pairs(params, states)
         return functional_value(correlation_tensor(state, pairs), functional)
     if kind == "lhv_max":
         return lhv_max(functional, ModelClass(params["model"])).max_value
     if kind == "critical_visibility":
-        state, pairs = _row_state_and_pairs(params)
+        state, pairs = _row_state_and_pairs(params, states)
         return shots.critical_visibility(state, pairs, functional)
     raise ValueError(f"unknown manifest row kind {kind!r}")
 
 
 def run_reproduction() -> list[dict]:
-    """Evaluate every manifest row; each gets value, expected, and a pass flag."""
+    """Evaluate every manifest row; each gets value, expected, and a pass flag.
+
+    Each state the manifest names is built and validated once per call.
+    """
+    manifest = load_reproduce_manifest()
+    names = {row["params"]["state"] for row in manifest if "state" in row["params"]}
+    states = {name: as_density(_load_state(name)) for name in names}
     results = []
-    for row in load_reproduce_manifest():
-        value = _evaluate_manifest_row(row)
+    for row in manifest:
+        value = _evaluate_manifest_row(row, states)
         passed = abs(value - row["expected"]) <= row["tolerance"]
         results.append(
             {
@@ -354,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=2000,
                    help="most ascent sweeps over parties a, b, c per start, "
                         f"at most {optimizer.MAX_REFINE_ITERATIONS} (default 2000)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random restarts, in [0, 2**64 - 1] (default 0)")
     p.add_argument("--restarts", type=int, default=0,
                    help="extra random ascent starts beyond the grid seeds, "
                         f"at most {optimizer.MAX_RANDOM_RESTARTS} (default 0)")
@@ -374,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, required=True,
                    help="shots per setting choice, "
                         f"at most {shots.MAX_SHOTS_PER_SETTING} (2**63 - 1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the per-setting random streams, in [0, 2**64 - 1] "
+                        "(default 0)")
     p.add_argument("--functional", choices=("mermin", "svetlichny", "both"),
                    default="both")
     p.set_defaults(func=cmd_sample)
@@ -397,6 +406,8 @@ def main(argv=None) -> int:
     if getattr(args, "visibility", None) is not None and not 0.0 <= args.visibility <= 1.0:
         parser.error("--visibility must lie in [0, 1]")
     try:
+        if hasattr(args, "seed"):
+            shots.check_seed(args.seed, "--seed")
         return args.func(args)
     # Bad input: ValueError (json.JSONDecodeError among them), a state file of
     # the wrong JSON type (TypeError), or an unreadable or unwritable path.

@@ -19,6 +19,7 @@ import numpy as np
 from .inequalities import SIGN_TENSOR, Functional, SettingsPair
 from .polarimetry import TWO_PI, pauli_coefficients, wrap_phase
 from .qstate import DensityMatrix, PureState
+from .shots import check_seed
 
 _TOP_SEEDS = 10
 
@@ -64,6 +65,7 @@ class OptimizationConfig:
             raise ValueError(f"max_refine_iterations must lie in [1, {MAX_REFINE_ITERATIONS}]")
         if not 0 <= self.random_restarts <= MAX_RANDOM_RESTARTS:
             raise ValueError(f"random_restarts must lie in [0, {MAX_RANDOM_RESTARTS}]")
+        check_seed(self.seed)
 
     @property
     def grid_cells(self) -> int:
@@ -116,33 +118,60 @@ def _make_objective(state: PureState | DensityMatrix, functional: Functional):
     return objective
 
 
+def _fields(blocks, g: np.ndarray, party: int) -> np.ndarray:
+    """S = sum_k field[:, k] g[:, party, k]: the (m, 4) field on one party.
+
+    blocks[p] is the 4x4x4 form with party p's index moved last and the other
+    two parties' indices flattened in order, as a 16x4 matrix.
+    """
+    first, second = (q for q in range(3) if q != party)
+    pairs = (g[:, first, :, None] * g[:, second, None, :]).reshape(-1, 16)
+    return pairs @ blocks[party]
+
+
 def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
-    """Exact block-coordinate ascent of |S| from x0, one party at a time.
+    """Exact block-coordinate ascent of |S| from each row of x0, all rows at once.
 
     With two parties fixed, S = sum_s g_s . v_s over the third party's settings
-    s, so g_s = v_s / |v_s| maximizes it, to |v_0| + |v_1|.  The sign of S is
-    taken once, at x0.  Sweeps parties a, b, c until no phase moves by more
-    than `tolerance` radians in a sweep, or for at most `max_sweeps` sweeps.
+    s, so g_s = v_s / |v_s| maximizes it, to |v_0| + |v_1|; a zero field keeps
+    its phase.  The sign of S is taken once per row, at its start.  A row
+    sweeps parties a, b, c until no phase moves by more than `tolerance`
+    radians in a sweep, or for at most `max_sweeps` sweeps, and then drops out
+    of later sweeps, so its path does not depend on the other rows.  Returns
+    the (m, 6) phases, the m values |S| and the m sweep counts.
     """
-    x = list(x0)
-    g = _phase_weights(x).reshape(3, 4)
-    sign = 1.0 if form @ g[2] @ g[1] @ g[0] >= 0.0 else -1.0
-    sweeps = 0
-    moved = math.inf
-    while moved > tolerance and sweeps < max_sweeps:
-        sweeps += 1
-        moved = 0.0
+    blocks = [np.moveaxis(form, p, -1).reshape(16, 4) for p in range(3)]
+    # The rows still ascending: their indices, phases, weights and signs of S.
+    xs = np.array(x0, dtype=float).reshape(-1, 6)
+    gs = _phase_weights(xs).reshape(-1, 3, 4)
+    rows = np.arange(len(xs))
+    signs = np.where(_values(blocks, gs) >= 0.0, 1.0, -1.0)[:, None]
+    x, g, sweeps = np.empty_like(xs), np.empty_like(gs), np.zeros(len(xs), dtype=int)
+    sweep = 0
+    while rows.size:
+        sweep += 1
+        start = xs.copy()
         for party in range(3):
-            first, second = (q for q in range(3) if q != party)
-            field = sign * (np.moveaxis(form, party, 0) @ g[second] @ g[first])
-            for s, (vz, vx) in enumerate(field.reshape(2, 2)):
-                if vz == 0.0 and vx == 0.0:
-                    continue  # every phase is optimal; keep this one
-                phi = wrap_phase(math.atan2(-vx, vz))
-                moved = max(moved, circular_distance(phi, x[2 * party + s]))
-                x[2 * party + s] = phi
-            g[party] = _phase_weights(x[2 * party : 2 * party + 2]).reshape(4)
-    return tuple(x), abs(float(form @ g[2] @ g[1] @ g[0])), sweeps
+            field = (signs * _fields(blocks, gs, party)).reshape(-1, 2, 2)
+            phi = np.arctan2(-field[..., 1], field[..., 0]) % TWO_PI
+            phi[phi >= TWO_PI] = 0.0  # as in wrap_phase
+            if not field.all():  # a zero field keeps its phase
+                zero = ~field.any(axis=-1)
+                phi[zero] = xs[:, 2 * party : 2 * party + 2][zero]
+            xs[:, 2 * party : 2 * party + 2] = phi
+            gs[:, party] = _phase_weights(phi).reshape(-1, 4)
+        # Each phase moves once per sweep, so its move is its change over the sweep.
+        moved = circular_distance(xs, start).max(axis=1)
+        done = (moved <= tolerance) | (sweep == max_sweeps)
+        if done.any():
+            x[rows[done]], g[rows[done]], sweeps[rows[done]] = xs[done], gs[done], sweep
+            rows, xs, gs, signs = rows[~done], xs[~done], gs[~done], signs[~done]
+    return x, np.abs(_values(blocks, g)), sweeps
+
+
+def _values(blocks, g: np.ndarray) -> np.ndarray:
+    """S at each row of the (m, 3, 4) party weights g."""
+    return (_fields(blocks, g, 2) * g[:, 2]).sum(axis=1)
 
 
 def optimize(
@@ -154,8 +183,11 @@ def optimize(
 
     Candidates come in seed order: the best grid points, highest score first
     and smaller settings first among equal scores, then the random restarts
-    in draw order.  The first candidate whose value lies within
-    refine_tolerance of the maximum over all candidates is reported.
+    in draw order.  All of them ascend together, as one batch.  The first
+    candidate whose value lies within refine_tolerance of the maximum over all
+    candidates is reported.  The trace gains a point, at the sweeps run so far
+    in seed order, for each candidate that beats the best value before it by
+    more than refine_tolerance, the margin within which values tie.
     """
     if config is None:
         config = OptimizationConfig()
@@ -169,34 +201,31 @@ def optimize(
     points = np.concatenate((np.repeat(g, n, axis=0), np.tile(g, (n, 1))), axis=1)
     scores = np.abs(np.einsum("abc,na,nb,nc->n", form, points, points, points, optimize=True))
     top = np.argsort(-scores, kind="stable")[:_TOP_SEEDS]
-    seeds = [(float(grid[i // n]), float(grid[i % n])) * 3 for i in top]
+    seeds = np.tile(np.stack((grid[top // n], grid[top % n]), axis=1), (1, 3))
+    if config.random_restarts:
+        # Only now, since the first default_rng call imports numpy.random.
+        rng = np.random.default_rng(config.seed)
+        restarts = rng.uniform(0.0, TWO_PI, (config.random_restarts, 6))
+        seeds = np.concatenate((seeds, restarts))
 
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.random_restarts):
-        seeds.append(tuple(float(v) for v in rng.uniform(0.0, TWO_PI, 6)))
+    x, values, sweeps = _ascend(
+        form, seeds, config.refine_tolerance, config.max_refine_iterations
+    )
 
     best_so_far = float(scores[top[0]])
     trace = [(0, best_so_far)]
-    total_sweeps = 0
-    candidates = []
-    for x0 in seeds:
-        x, f, sweeps = _ascend(form, x0, config.refine_tolerance, config.max_refine_iterations)
-        total_sweeps += sweeps
-        candidates.append((f, x))
-        if f > best_so_far:
+    for total_sweeps, f in zip(np.cumsum(sweeps).tolist(), values.tolist()):
+        if f > best_so_far + config.refine_tolerance:
             best_so_far = f
             trace.append((total_sweeps, f))
 
-    max_value = max(f for f, _ in candidates)
-    best_value, best_x = next(
-        (f, x) for f, x in candidates if f >= max_value - config.refine_tolerance
-    )
-
+    best = int(np.flatnonzero(values >= values.max() - config.refine_tolerance)[0])
+    best_x = x[best].tolist()
     pairs = tuple(
         SettingsPair(best_x[2 * p], best_x[2 * p + 1]) for p in range(3)
     )
     return OptimizationResult(
-        best_value=float(best_value),
+        best_value=float(values[best]),
         best_settings=pairs,
         trace=tuple(trace),
         restarts_used=len(seeds),

@@ -36,6 +36,16 @@ _SETTING_CHOICES = tuple(itertools.product((0, 1), repeat=3))
 # Counts are int64 (CountTable), so one setting holds at most 2**63 - 1 shots.
 MAX_SHOTS_PER_SETTING = 2**63 - 1
 
+#: Largest seed: a seed keys each setting's Philox stream as one uint64 word.
+#: The optimizer's random restarts take their seeds from the same domain.
+MAX_SEED = 2**64 - 1
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Reject a seed outside [0, 2**64 - 1]; the error calls it `name`."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"{name} must lie in [0, 2**64 - 1], got {seed}")
+
 
 def _outcome_label(oa: int, ob: int, oc: int) -> str:
     return "".join("+-"[bit] for bit in (oa, ob, oc))
@@ -84,7 +94,7 @@ class CountTable:
 
 
 def _setting_stream(seed: int, choice_index: int) -> np.random.Generator:
-    key = np.array([seed % 2**64, choice_index], dtype=np.uint64)
+    key = np.array([seed, choice_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -95,6 +105,7 @@ def sample_counts(
     n_shots = int(n_shots)
     if not 1 <= n_shots <= MAX_SHOTS_PER_SETTING:
         raise ValueError(f"n_shots must lie in [1, 2**63 - 1], got {n_shots}")
+    check_seed(seed)
     rho = as_density(state)
     pairs = tuple(pairs)
     counts = np.zeros((2, 2, 2, 8), dtype=np.int64)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from tribell import CorrelationTensor, cli, make_w, shots
+from tribell import CorrelationTensor, cli, make_w, qstate, shots
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +132,41 @@ def test_sample_rejects_shots_beyond_int64(capsys):
     assert code == 2
     assert out == ""
     assert "2**63 - 1" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize(
+    "argv",
+    [["optimize", "--functional", "mermin"], ["sample", "--pairs", "90,0", "--shots", "10"]],
+)
+def test_seed_outside_uint64_exits_2_naming_the_flag(capsys, argv, seed):
+    code, out, err = run_cli(capsys, *argv, "--seed", str(seed))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == f"--seed must lie in [0, 2**64 - 1], got {seed}"
+
+
+@pytest.mark.parametrize("command", ["optimize", "sample"])
+def test_seed_range_is_in_help(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--seed SEED seed of the" in help_text
+    assert "in [0, 2**64 - 1] (default 0)" in help_text
+
+
+def test_reproduce_builds_each_state_once(monkeypatch):
+    built = []
+    validate = qstate.DensityMatrix.__post_init__
+
+    def counting_validate(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(qstate.DensityMatrix, "__post_init__", counting_validate)
+    rows = cli.run_reproduction()
+    assert all(row["passed"] for row in rows)
+    assert len(built) == 1
 
 
 def test_correlations_single_angles(capsys):

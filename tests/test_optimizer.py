@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_angles, random_density
@@ -19,6 +19,7 @@ from tribell import (
     lhv_max,
     make_ghz,
     make_w,
+    maximally_mixed,
     min_symmetry_distance,
     objective_symmetries,
     optimize,
@@ -63,6 +64,10 @@ def test_config_rejects_bad_values():
         OptimizationConfig(max_refine_iterations=0)
     with pytest.raises(ValueError):
         OptimizationConfig(random_restarts=-1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=re.escape("seed must lie in [0, 2**64 - 1]")):
+            OptimizationConfig(seed=seed)
+    assert OptimizationConfig(seed=2**64 - 1).seed == 2**64 - 1
     assert OptimizationConfig().grid_cells == 24
 
 
@@ -106,7 +111,8 @@ def test_party_update_attains_closed_form_block_maximum(seed):
     grid_weights = np.stack((np.cos(grid), -np.sin(grid)), axis=-1)
     for functional in Functional:
         # One sweep ends with party c's closed-form update, a and b fixed.
-        x, value, _ = _ascend(_trilinear_form(rho, functional), x0, 1e-8, 1)
+        xs, values, _ = _ascend(_trilinear_form(rho, functional), [x0], 1e-8, 1)
+        x, value = tuple(xs[0].tolist()), values[0]
         # S is linear in each of party c's weights (cos phi, -sin phi), so
         # moving one phase by pi, or from pi/2 to 3pi/2, isolates its field.
         fields = []
@@ -123,8 +129,63 @@ def test_party_update_attains_closed_form_block_maximum(seed):
         assert np.abs(on_grid).max() <= block_max + 1e-12
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_starts=st.integers(2, 8))
+def test_batched_ascent_matches_each_start_alone(seed, n_starts):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng)
+    starts = rng.uniform(0.0, 2.0 * math.pi, (n_starts, 6))
+    for functional in Functional:
+        form = _trilinear_form(rho, functional)
+        xs, values, sweeps = _ascend(form, starts, 1e-8, 2000)
+        for x0, x, value, n_sweeps in zip(starts, xs, values, sweeps):
+            alone_x, alone_value, alone_sweeps = _ascend(form, [x0], 1e-8, 2000)
+            assert alone_sweeps[0] == n_sweeps
+            assert circular_distance(alone_x[0], x).max() < 1e-12
+            assert abs(alone_value[0] - value) < 1e-12
+
+
+def test_zero_field_keeps_every_phase():
+    # White noise has no correlations, so every field is zero.
+    starts = np.random.default_rng(7).uniform(0.0, 2.0 * math.pi, (4, 6))
+    form = _trilinear_form(maximally_mixed(), Functional.SVETLICHNY)
+    xs, values, sweeps = _ascend(form, starts, 1e-8, 2000)
+    assert np.array_equal(xs, starts)
+    assert np.array_equal(values, np.zeros(4))
+    assert np.array_equal(sweeps, np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "state, functional, trace_sweeps",
+    [
+        (make_w, Functional.MERMIN, [0, 262]),
+        (make_w, Functional.SVETLICHNY, [0, 14]),
+        (lambda: make_ghz("circular_rl"), Functional.MERMIN, [0]),
+        (lambda: make_ghz("circular_rl"), Functional.SVETLICHNY, [0]),
+        # The first ascent ends 3 ulp above the grid score: a tie, not a trace point.
+        (lambda: make_ghz("linear_hv"), Functional.MERMIN, [0]),
+        (lambda: make_ghz("linear_hv"), Functional.SVETLICHNY, [0]),
+    ],
+)
+def test_default_runs_trace_only_real_improvements(state, functional, trace_sweeps):
+    config = OptimizationConfig()
+    result = optimize(state(), functional, config)
+    assert result.restarts_used == 10
+    assert [sweeps for sweeps, _ in result.trace] == trace_sweeps
+    values = [value for _, value in result.trace]
+    assert all(b > a + config.refine_tolerance for a, b in zip(values, values[1:]))
+
+
+def test_optimize_without_restarts_draws_no_random_numbers(monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("default_rng called without random restarts")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    optimize(make_w(), Functional.SVETLICHNY, OptimizationConfig(seed=5))
+
+
 def test_ascent_with_unreachable_tolerance_stops_at_sweep_cap():
-    # W Mermin converges slowly: uncapped, its first improvement comes after 689 sweeps.
+    # W Mermin converges slowly: uncapped, its first improvement comes after 262 sweeps.
     config = OptimizationConfig(refine_tolerance=5e-324, max_refine_iterations=3)
     result = optimize(make_w(), Functional.MERMIN, config)
     assert len(result.trace) > 1

@@ -107,6 +107,16 @@ def test_shot_count_beyond_int64_is_rejected():
         sample_counts(make_w(), COMMENT_PAIRS, MAX_SHOTS_PER_SETTING + 1, seed=1)
 
 
+def test_seed_outside_uint64_is_rejected():
+    # Seeds key a uint64 Philox word: they are checked, never reduced mod 2**64.
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64 - 1\]"):
+            sample_counts(make_w(), COMMENT_PAIRS, 10, seed=seed)
+    top = sample_counts(make_w(), COMMENT_PAIRS, 1000, seed=2**64 - 1)
+    bottom = sample_counts(make_w(), COMMENT_PAIRS, 1000, seed=0)
+    assert not np.array_equal(top.counts, bottom.counts)
+
+
 def test_counts_follow_outcome_index_order():
     # A rank-3 state whose eight outcome probabilities differ, at every setting
     # choice, by more than the sum of their 6-sigma windows: a swapped reshape
