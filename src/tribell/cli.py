@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -86,10 +87,11 @@ def _load_state(state_arg: str):
 
 
 def _prepare_state(args):
-    state = _load_state(args.state)
+    """The request's one validated DensityMatrix, which every later step shares."""
+    state = as_density(_load_state(args.state))
     visibility = getattr(args, "visibility", None)
     if visibility is not None:
-        state = mix_with_white_noise(as_density(state), visibility)
+        state = mix_with_white_noise(state, visibility)
     return state
 
 
@@ -337,7 +339,13 @@ def _add_common(parser, state: bool = True):
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.
+
+    Parsing leaves it unchanged: each parse_args call fills a fresh Namespace,
+    and help and usage text are formatted when printed.
+    """
     parser = argparse.ArgumentParser(
         prog="tribell",
         description="Mermin/Svetlichny tests for three-qubit polarization states",

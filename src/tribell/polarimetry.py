@@ -10,7 +10,10 @@ Both the observable and its port projectors (I +- sigma(phi))/2 are
 combinations of I, Z and X, so a state enters every correlation and outcome
 probability only through its 27 coefficients Re tr(rho P_u x P_v x P_w),
 P in (I, Z, X) (pauli_coefficients).  Each Born-rule number is that tensor
-contracted with one weight row per party.
+contracted with one weight row per party.  The tensor is computed once per
+DensityMatrix instance and held read-only for as long as that instance lives,
+so every later correlation or distribution of the same state is only the
+contraction.  The cache holds no state alive and is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +89,19 @@ def _port_weights(phi: float) -> np.ndarray:
     return 0.5 * np.array([[1.0, g[0], g[1]], [1.0, -g[0], -g[1]]])
 
 
+#: Each live DensityMatrix's read-only coefficient tensor, dropped with it.
+_COEFFICIENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _izx_expansion(rho: DensityMatrix) -> np.ndarray:
+    """The coefficient tensor of rho, computed afresh and marked read-only."""
+    entries = rho.entries.reshape((2,) * 6)
+    paulis = _PAULI_IZX
+    coeffs = np.einsum("abcdef,uda,veb,wfc->uvw", entries, paulis, paulis, paulis).real.copy()
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 def pauli_coefficients(state: PureState | DensityMatrix) -> np.ndarray:
     """T[u, v, w] = Re tr(rho P_u x P_v x P_w) over P in (I, Z, X).
 
@@ -92,10 +109,17 @@ def pauli_coefficients(state: PureState | DensityMatrix) -> np.ndarray:
     correlation, E = sum T[1+u, 1+v, 1+w] g_a[u] g_b[v] g_c[w] with
     g = analyzer_weights; the full tensor contracted with _port_weights gives
     every outcome probability.
+
+    The first call for a DensityMatrix computes T; later calls for the same
+    instance return that same read-only array.  A PureState is coerced to a
+    new DensityMatrix on each call, so coerce it once to share the tensor.
     """
-    rho = as_density(state).entries.reshape((2,) * 6)
-    paulis = _PAULI_IZX
-    return np.einsum("abcdef,uda,veb,wfc->uvw", rho, paulis, paulis, paulis).real
+    rho = as_density(state)
+    coeffs = _COEFFICIENTS.get(rho)
+    if coeffs is None:
+        # setdefault keeps the first array stored if two threads race here.
+        coeffs = _COEFFICIENTS.setdefault(rho, _izx_expansion(rho))
+    return coeffs
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,14 @@ MAX_SEED = 2**64 - 1
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
-    """Reject a seed outside [0, 2**64 - 1]; the error calls it `name`."""
+    """Reject a seed that is not an integer in [0, 2**64 - 1]; the error calls it `name`.
+
+    Python and numpy integers pass.  A float such as 1.5 or 1.0 does not.
+    """
+    try:
+        operator.index(seed)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {seed!r}") from None
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"{name} must lie in [0, 2**64 - 1], got {seed}")
 

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from tribell import CorrelationTensor, cli, make_w, qstate, shots
+from tribell import CorrelationTensor, cli, make_w, polarimetry, qstate, shots
 
 
 def run_cli(capsys, *argv):
@@ -155,18 +155,83 @@ def test_seed_range_is_in_help(capsys, command):
     assert "in [0, 2**64 - 1] (default 0)" in help_text
 
 
-def test_reproduce_builds_each_state_once(monkeypatch):
-    built = []
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of DensityMatrix validations and coefficient-tensor computations."""
+    counts = {"states": 0, "tensors": 0}
     validate = qstate.DensityMatrix.__post_init__
+    expand = polarimetry._izx_expansion
 
     def counting_validate(self):
-        built.append(self)
+        counts["states"] += 1
         validate(self)
 
+    def counting_expand(rho):
+        counts["tensors"] += 1
+        return expand(rho)
+
     monkeypatch.setattr(qstate.DensityMatrix, "__post_init__", counting_validate)
+    monkeypatch.setattr(polarimetry, "_izx_expansion", counting_expand)
+    return counts
+
+
+def test_reproduce_builds_each_state_once(work):
     rows = cli.run_reproduction()
     assert all(row["passed"] for row in rows)
-    assert len(built) == 1
+    assert work == {"states": 1, "tensors": 1}
+
+
+@pytest.mark.parametrize("visibility", [[], ["--visibility", "0.9"]], ids=["pure", "mixed"])
+def test_sample_computes_the_tensor_once(capsys, work, visibility):
+    code, _, _ = run_cli(capsys, *REQUESTS["sample"], *visibility, "--format", "json")
+    assert code == 0
+    assert work == {"states": 1 + len(visibility) // 2, "tensors": 1}
+
+
+@pytest.mark.parametrize("request_name", ["correlations-angles", "correlations-pairs"])
+def test_correlations_build_one_state_and_one_tensor(capsys, work, request_name):
+    code, _, _ = run_cli(capsys, *REQUESTS[request_name], "--format", "json")
+    assert code == 0
+    assert work == {"states": 1, "tensors": 1}
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_usage_error_leaves_no_trace_in_the_next_request(capsys):
+    argv = [*REQUESTS["sample"], "--format", "json"]
+    cli.build_parser.cache_clear()
+    fresh = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["sample", "--state", "w", "--pairs", "90,0", "--shots", "0"])
+    assert excinfo.value.code == 2
+    assert "--shots must be at least 1" in capsys.readouterr().err
+    assert run_cli(capsys, *argv) == fresh
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("correlations-angles", "correlations-pairs"), ("correlations-pairs", "correlations-angles")],
+)
+def test_exclusive_group_forgets_the_previous_request(capsys, first, second):
+    for name in (first, second):
+        code, out, err = run_cli(capsys, *REQUESTS[name], "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+
+
+def test_help_is_wrapped_to_the_width_at_print_time(capsys, monkeypatch):
+    cli.build_parser()
+    lines = {}
+    for columns in (50, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit):
+            cli.main(["sample", "--help"])
+        out = capsys.readouterr().out.splitlines()
+        lines[columns] = next(line for line in out if line.lstrip().startswith("--output"))
+    assert len(lines[50]) <= 48
+    assert lines[200].endswith("write the report to this path instead of stdout")
 
 
 def test_correlations_single_angles(capsys):

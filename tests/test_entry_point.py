@@ -1,0 +1,34 @@
+"""The command line as a user starts it: `python -m tribell` in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_tribell(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "tribell", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_reproduce_exits_zero_with_every_row_passed():
+    proc = run_tribell("reproduce", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True
+
+
+def test_bad_seed_exits_two_with_a_json_error():
+    proc = run_tribell("sample", "--state", "w", "--pairs", "90,0", "--shots", "10",
+                       "--seed", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--seed" in json.loads(proc.stderr)["error"]

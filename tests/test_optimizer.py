@@ -253,6 +253,19 @@ def test_random_restarts_are_deterministic():
     assert first.restarts_used == 13
 
 
+def test_config_seed_must_be_an_integer():
+    # Refused at construction, not later by numpy when restarts are drawn.
+    for seed in (1.5, 1.0, "11", None):
+        with pytest.raises(ValueError, match="seed must be an integer, got"):
+            OptimizationConfig(random_restarts=3, seed=seed)
+    grid_step = math.radians(30.0)
+    config = OptimizationConfig(grid_step=grid_step, random_restarts=3, seed=np.uint64(11))
+    reference = OptimizationConfig(grid_step=grid_step, random_restarts=3, seed=11)
+    assert optimize(make_w(), Functional.SVETLICHNY, config) == optimize(
+        make_w(), Functional.SVETLICHNY, reference
+    )
+
+
 def test_halving_grid_step_never_loses_value(w_svetlichny_result):
     fine = optimize(
         make_w(),

@@ -1,6 +1,9 @@
 """Tests for analyzer observables, Born-rule distributions, and correlations."""
 
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -139,6 +142,52 @@ def test_pauli_coefficients_identity_entry_is_trace(seed):
     # tr(rho) = 1 up to the rounding of the eight diagonal entries' sum.
     coeffs = pauli_coefficients(random_density(np.random.default_rng(seed)))
     assert abs(coeffs[0, 0, 0] - 1.0) < 1e-12
+
+
+def test_pauli_coefficients_are_held_read_only_per_density_matrix():
+    rho = as_density(make_w())
+    coeffs = pauli_coefficients(rho)
+    assert pauli_coefficients(rho) is coeffs
+    assert correlation(rho, (0.0, 0.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
+    assert pauli_coefficients(rho) is coeffs
+    assert not coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        coeffs[0, 0, 0] = 0.0
+    # An equal state is another instance: its own, equal tensor.
+    twin = as_density(make_w())
+    assert pauli_coefficients(twin) is not coeffs
+    assert np.array_equal(pauli_coefficients(twin), coeffs)
+
+
+def test_pauli_coefficients_keep_no_state_alive():
+    rho = as_density(make_w())
+    pauli_coefficients(rho)
+    alive = weakref.ref(rho)
+    del rho
+    assert alive() is None
+
+
+def test_pauli_coefficients_under_concurrent_first_calls():
+    # Threads racing on each state's first call must all get the one stored
+    # array; a lost update would hand some of them a second copy.
+    states = [as_density(make_w()) for _ in range(200)]
+    seen = [[] for _ in range(6)]
+
+    def work(out):
+        out.extend(id(pauli_coefficients(rho)) for rho in states)
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in seen]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(out == [id(pauli_coefficients(rho)) for rho in states] for out in seen)
 
 
 @pytest.mark.parametrize("visibility", [1.0, 0.9123])

@@ -117,6 +117,17 @@ def test_seed_outside_uint64_is_rejected():
     assert not np.array_equal(top.counts, bottom.counts)
 
 
+def test_seed_must_be_an_integer():
+    # A float seed is refused, not rounded into a valid stream key.
+    for seed in (1.5, 1.0, np.float64(2.0), "3", None):
+        with pytest.raises(ValueError, match=r"seed must be an integer, got"):
+            sample_counts(make_w(), COMMENT_PAIRS, 10, seed=seed)
+    reference = sample_counts(make_w(), COMMENT_PAIRS, 100, seed=1).counts
+    for seed in (np.int64(1), np.uint64(1)):
+        table = sample_counts(make_w(), COMMENT_PAIRS, 100, seed=seed)
+        assert np.array_equal(table.counts, reference)
+
+
 def test_counts_follow_outcome_index_order():
     # A rank-3 state whose eight outcome probabilities differ, at every setting
     # choice, by more than the sum of their 6-sigma windows: a swapped reshape
