@@ -154,7 +154,7 @@ def run_reproduction() -> list[dict]:
     """
     manifest = load_reproduce_manifest()
     names = {row["params"]["state"] for row in manifest if "state" in row["params"]}
-    states = {name: as_density(_load_state(name)) for name in names}
+    states = {name: _load_state(name) for name in names}
     results = []
     for row in manifest:
         value = _evaluate_manifest_row(row, states)
@@ -259,7 +259,7 @@ def cmd_sample(args) -> int:
         for f in functionals
     }
     estimates = tensor.to_jsonable()
-    errors = {key: float(std_errors[tuple(map(int, key))]) for key in estimates}
+    errors = dict(zip(estimates, std_errors.ravel().tolist()))
     payload = {
         "n_shots_per_setting": table.n_shots_per_setting,
         "seed": args.seed,

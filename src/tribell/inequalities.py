@@ -45,6 +45,12 @@ def _sign_tensor(rows) -> np.ndarray:
     return signs
 
 
+#: The eight setting choices (i, j, k) in row-major order, and their "ijk"
+#: keys: the order of every serialized tensor and of the flattened tensors.
+SETTING_CHOICES = tuple(itertools.product((0, 1), repeat=3))
+SETTING_KEYS = tuple(f"{i}{j}{k}" for i, j, k in SETTING_CHOICES)
+
+
 #: Sign tensor c[i, j, k] of each functional: its value is the sum of
 #: c[i, j, k] * E[i, j, k].  Mermin takes the three one-primed entries minus
 #: the all-primed one; Svetlichny takes every entry, + with at most one
@@ -107,23 +113,15 @@ class CorrelationTensor:
         return CorrelationTensor(self.values[::-1, ::-1, ::-1])
 
     def to_jsonable(self) -> dict:
-        return {
-            "".join(str(b) for b in idx): float(self.values[idx])
-            for idx in itertools.product((0, 1), repeat=3)
-        }
+        return dict(zip(SETTING_KEYS, self.values.ravel().tolist()))
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "CorrelationTensor":
-        values = np.empty((2, 2, 2))
-        for idx in itertools.product((0, 1), repeat=3):
-            values[idx] = float(data["".join(str(b) for b in idx)])
-        return cls(values)
+        return cls([float(data[key]) for key in SETTING_KEYS])
 
     def to_csv_rows(self) -> list[list]:
-        rows = [["i", "j", "k", "E"]]
-        for idx in itertools.product((0, 1), repeat=3):
-            rows.append([idx[0], idx[1], idx[2], float(self.values[idx])])
-        return rows
+        values = self.values.ravel().tolist()
+        return [["i", "j", "k", "E"], *([*ijk, e] for ijk, e in zip(SETTING_CHOICES, values))]
 
 
 def correlation_tensor(

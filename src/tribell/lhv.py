@@ -13,13 +13,13 @@ product of its +-1 strategy matrix with the functional's sign tensor.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .inequalities import SIGN_TENSOR, CorrelationTensor, Functional
+from .inequalities import SETTING_CHOICES, SIGN_TENSOR, CorrelationTensor, Functional
 
 PARTY_NAMES = ("a", "b", "c")
 
@@ -159,9 +159,9 @@ def _strategy_at(model: ModelClass, row: int) -> LocalStrategy | HybridStrategy:
 def strategy_matrix(model: ModelClass) -> np.ndarray:
     """Every strategy tensor of a model class as one read-only +-1 matrix.
 
-    Row r is strategy_tensor(s).values flattened (column 4i + 2j + k) for the
-    r-th strategy s of enumerate_local() or enumerate_hybrid(): 64 x 8 or
-    3072 x 8.  Built on first use and kept for the life of the process.
+    Row r is strategy_tensor(s).values flattened (columns in SETTING_CHOICES
+    order) for the r-th strategy s of enumerate_local() or enumerate_hybrid():
+    64 x 8 or 3072 x 8.  Built on first use and kept for the life of the process.
     """
     model = ModelClass(model)
     outcomes = np.array(_PARTY_MAPS, dtype=float)  # [map, setting]
@@ -172,7 +172,7 @@ def strategy_matrix(model: ModelClass) -> np.ndarray:
         # the joint setting t; a strategy tensor only sees their product.
         pair_outcomes = 1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)
         pair_products = pair_outcomes[:, 0::2] * pair_outcomes[:, 1::2]
-        choices = np.array(list(itertools.product((0, 1), repeat=3)))
+        choices = np.array(SETTING_CHOICES)
         blocks = []
         for partition in Partition:
             (first, second), solo = _PARTITION_ROLES[partition]
@@ -186,11 +186,9 @@ def strategy_matrix(model: ModelClass) -> np.ndarray:
 
 def strategy_tensor(strategy: LocalStrategy | HybridStrategy) -> CorrelationTensor:
     """Correlation tensor of a deterministic strategy; every entry is +-1."""
-    values = np.empty((2, 2, 2))
-    for i, j, k in itertools.product((0, 1), repeat=3):
-        oa, ob, oc = strategy.outcomes(i, j, k)
-        values[i, j, k] = float(oa * ob * oc)
-    return CorrelationTensor(values)
+    return CorrelationTensor(
+        [math.prod(strategy.outcomes(*ijk)) for ijk in SETTING_CHOICES]
+    )
 
 
 @dataclass(frozen=True)

@@ -108,16 +108,6 @@ def _trilinear_form(state: PureState | DensityMatrix, functional: Functional):
     return np.einsum("ijk,uvw->iujvkw", signs, coeffs).reshape(4, 4, 4)
 
 
-def _make_objective(state: PureState | DensityMatrix, functional: Functional):
-    form = _trilinear_form(state, functional)
-
-    def objective(x) -> float:
-        g = _phase_weights(x).reshape(3, 4)
-        return abs(float(form @ g[2] @ g[1] @ g[0]))
-
-    return objective
-
-
 def _fields(blocks, g: np.ndarray, party: int) -> np.ndarray:
     """S = sum_k field[:, k] g[:, party, k]: the (m, 4) field on one party.
 

@@ -41,6 +41,10 @@ _PAULI_IZX = np.array(
     [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]]
 )
 
+#: Labels of the eight outcome triples in row-major port order, "+" for port 0
+#: (outcome +1) and "-" for port 1: "+++", "++-", ..., "---".
+OUTCOME_LABELS = tuple("".join(ports) for ports in itertools.product("+-", repeat=3))
+
 #: Product of the three outcome signs per port index triple (0 -> +1, 1 -> -1).
 OUTCOME_SIGNS = np.array([[[1.0, -1.0], [-1.0, 1.0]], [[-1.0, 1.0], [1.0, -1.0]]])
 OUTCOME_SIGNS.flags.writeable = False
@@ -89,13 +93,13 @@ def _port_weights(phi: float) -> np.ndarray:
     return 0.5 * np.array([[1.0, g[0], g[1]], [1.0, -g[0], -g[1]]])
 
 
-#: Each live DensityMatrix's read-only coefficient tensor, dropped with it.
+#: Each live state's read-only coefficient tensor, dropped with the state.
 _COEFFICIENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _izx_expansion(rho: DensityMatrix) -> np.ndarray:
-    """The coefficient tensor of rho, computed afresh and marked read-only."""
-    entries = rho.entries.reshape((2,) * 6)
+def _izx_expansion(state: PureState | DensityMatrix) -> np.ndarray:
+    """The coefficient tensor of a state, computed afresh and marked read-only."""
+    entries = as_density(state).entries.reshape((2,) * 6)
     paulis = _PAULI_IZX
     coeffs = np.einsum("abcdef,uda,veb,wfc->uvw", entries, paulis, paulis, paulis).real.copy()
     coeffs.flags.writeable = False
@@ -110,15 +114,17 @@ def pauli_coefficients(state: PureState | DensityMatrix) -> np.ndarray:
     g = analyzer_weights; the full tensor contracted with _port_weights gives
     every outcome probability.
 
-    The first call for a DensityMatrix computes T; later calls for the same
-    instance return that same read-only array.  A PureState is coerced to a
-    new DensityMatrix on each call, so coerce it once to share the tensor.
+    The first call for a state instance, PureState or DensityMatrix, computes
+    T; later calls for the same instance return that same read-only array.
     """
-    rho = as_density(state)
-    coeffs = _COEFFICIENTS.get(rho)
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise ValueError(
+            f"expected PureState or DensityMatrix, got {type(state).__name__}"
+        )
+    coeffs = _COEFFICIENTS.get(state)
     if coeffs is None:
         # setdefault keeps the first array stored if two threads race here.
-        coeffs = _COEFFICIENTS.setdefault(rho, _izx_expansion(rho))
+        coeffs = _COEFFICIENTS.setdefault(state, _izx_expansion(state))
     return coeffs
 
 
@@ -148,11 +154,7 @@ class OutcomeDistribution:
         return float(self.probs[(1 - sa) // 2, (1 - sb) // 2, (1 - sc) // 2])
 
     def to_jsonable(self) -> dict:
-        out = {}
-        for oa, ob, oc in itertools.product((0, 1), repeat=3):
-            key = "".join("+-"[bit] for bit in (oa, ob, oc))
-            out[key] = float(self.probs[oa, ob, oc])
-        return out
+        return dict(zip(OUTCOME_LABELS, self.probs.ravel().tolist()))
 
 
 def outcome_distribution(

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DIM = 8
-BASIS_KETS = tuple(
-    "".join("HV"[(idx >> shift) & 1] for shift in (2, 1, 0)) for idx in range(DIM)
-)
 
 NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12

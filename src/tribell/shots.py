@@ -12,7 +12,6 @@ computed in closed form, since every functional is linear in the visibility.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -21,6 +20,8 @@ import numpy as np
 
 from .inequalities import (
     BOUND,
+    SETTING_CHOICES,
+    SETTING_KEYS,
     SIGN_TENSOR,
     CorrelationTensor,
     Functional,
@@ -29,10 +30,8 @@ from .inequalities import (
     correlation_tensor,
     functional_value,
 )
-from .polarimetry import OUTCOME_SIGNS, outcome_distribution
-from .qstate import DensityMatrix, PureState, as_density
-
-_SETTING_CHOICES = tuple(itertools.product((0, 1), repeat=3))
+from .polarimetry import OUTCOME_LABELS, OUTCOME_SIGNS, outcome_distribution
+from .qstate import DensityMatrix, PureState
 
 # Counts are int64 (CountTable), so one setting holds at most 2**63 - 1 shots.
 MAX_SHOTS_PER_SETTING = 2**63 - 1
@@ -55,13 +54,12 @@ def check_seed(seed: int, name: str = "seed") -> None:
         raise ValueError(f"{name} must lie in [0, 2**64 - 1], got {seed}")
 
 
-def _outcome_label(oa: int, ob: int, oc: int) -> str:
-    return "".join("+-"[bit] for bit in (oa, ob, oc))
-
-
 @dataclass(frozen=True, eq=False)
 class CountTable:
-    """Outcome counts per setting choice: counts[i, j, k, outcome_index]."""
+    """Outcome counts per setting choice: counts[i, j, k, outcome_index].
+
+    outcome_index runs over the outcome triples in OUTCOME_LABELS order.
+    """
 
     counts: np.ndarray
     n_shots_per_setting: int
@@ -81,24 +79,21 @@ class CountTable:
         object.__setattr__(self, "n_shots_per_setting", n)
 
     def to_jsonable(self) -> dict:
-        table = {}
-        for i, j, k in _SETTING_CHOICES:
-            key = f"{i}{j}{k}"
-            table[key] = {
-                _outcome_label(oa, ob, oc): int(self.counts[i, j, k, 4 * oa + 2 * ob + oc])
-                for oa, ob, oc in itertools.product((0, 1), repeat=3)
-            }
+        table = {
+            key: dict(zip(OUTCOME_LABELS, row))
+            for key, row in zip(SETTING_KEYS, self.counts.reshape(8, 8).tolist())
+        }
         return {"n_shots_per_setting": self.n_shots_per_setting, "counts": table}
 
     def to_csv_rows(self) -> list[list]:
-        rows = [["i", "j", "k", "outcome", "count"]]
-        for i, j, k in _SETTING_CHOICES:
-            for oa, ob, oc in itertools.product((0, 1), repeat=3):
-                rows.append(
-                    [i, j, k, _outcome_label(oa, ob, oc),
-                     int(self.counts[i, j, k, 4 * oa + 2 * ob + oc])]
-                )
-        return rows
+        return [
+            ["i", "j", "k", "outcome", "count"],
+            *(
+                [*ijk, label, count]
+                for ijk, row in zip(SETTING_CHOICES, self.counts.reshape(8, 8).tolist())
+                for label, count in zip(OUTCOME_LABELS, row)
+            ),
+        ]
 
 
 def _setting_stream(seed: int, choice_index: int) -> np.random.Generator:
@@ -114,14 +109,13 @@ def sample_counts(
     if not 1 <= n_shots <= MAX_SHOTS_PER_SETTING:
         raise ValueError(f"n_shots must lie in [1, 2**63 - 1], got {n_shots}")
     check_seed(seed)
-    rho = as_density(state)
     pairs = tuple(pairs)
-    counts = np.zeros((2, 2, 2, 8), dtype=np.int64)
-    for i, j, k in _SETTING_CHOICES:
+    counts = np.zeros((8, 8), dtype=np.int64)
+    for index, (i, j, k) in enumerate(SETTING_CHOICES):
         phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
-        probs = np.clip(outcome_distribution(rho, phis).probs.reshape(8), 0.0, None)
-        rng = _setting_stream(seed, 4 * i + 2 * j + k)
-        counts[i, j, k] = rng.multinomial(n_shots, probs / probs.sum())
+        probs = np.clip(outcome_distribution(state, phis).probs.reshape(8), 0.0, None)
+        rng = _setting_stream(seed, index)
+        counts[index] = rng.multinomial(n_shots, probs / probs.sum())
     return CountTable(counts, n_shots)
 
 

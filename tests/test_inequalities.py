@@ -27,6 +27,7 @@ from tribell import (
     svetlichny_value,
     symmetric_pairs,
 )
+from tribell.inequalities import SETTING_CHOICES, SETTING_KEYS
 
 COMMENT_PAIRS = symmetric_pairs(math.pi / 2.0, 0.0)
 OPTIMAL_PAIRS = symmetric_pairs(math.radians(35.264), math.radians(144.736))
@@ -200,6 +201,18 @@ def test_tensor_csv_rows():
     assert len(rows) == 9
     assert rows[-1][:3] == [1, 1, 1]
     assert rows[-1][3] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_tensor_serializes_in_setting_order():
+    # Every entry distinct, so a swapped key or a transposed order shows.
+    tensor = tensor_from_list((np.arange(8.0) - 3.5) / 4.0)
+    choices = list(itertools.product((0, 1), repeat=3))
+    data = tensor.to_jsonable()
+    assert list(data) == list(SETTING_KEYS)
+    assert SETTING_CHOICES == tuple(choices)
+    assert list(data.items()) == [(f"{i}{j}{k}", tensor.values[i, j, k]) for i, j, k in choices]
+    assert tensor.to_csv_rows()[1:] == [[*ijk, tensor.values[ijk]] for ijk in choices]
+    assert np.array_equal(CorrelationTensor.from_jsonable(data).values, tensor.values)
 
 
 def test_report_jsonable_fields():

@@ -29,7 +29,6 @@ from tribell.optimizer import (
     MAX_RANDOM_RESTARTS,
     MAX_REFINE_ITERATIONS,
     _ascend,
-    _make_objective,
     _trilinear_form,
     circular_distance,
     settings_distance,
@@ -50,9 +49,12 @@ def test_objective_is_absolute_functional_value(seed):
     x = random_angles(rng, 6)
     pairs = tuple(SettingsPair(x[2 * p], x[2 * p + 1]) for p in range(3))
     tensor = correlation_tensor(rho, pairs)
+    # Weights (cos phi, -sin phi) of phi_a, phi'_a, ..., phi'_c, one row per party.
+    g = np.stack((np.cos(x), -np.sin(x)), axis=-1).reshape(3, 4)
     for functional in Functional:
         expected = abs(functional_value(tensor, functional))
-        assert abs(_make_objective(rho, functional)(x) - expected) < 1e-12
+        form = _trilinear_form(rho, functional)
+        assert abs(abs(float(form @ g[2] @ g[1] @ g[0])) - expected) < 1e-12
 
 
 def test_config_rejects_bad_values():

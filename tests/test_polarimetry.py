@@ -1,5 +1,6 @@
 """Tests for analyzer observables, Born-rule distributions, and correlations."""
 
+import itertools
 import math
 import sys
 import threading
@@ -24,9 +25,16 @@ from tribell import (
     mix_with_white_noise,
     outcome_distribution,
     pure_to_density,
+    sample_counts,
+    symmetric_pairs,
     wrap_phase,
 )
-from tribell.polarimetry import TWO_PI, OutcomeDistribution, pauli_coefficients
+from tribell.polarimetry import (
+    OUTCOME_LABELS,
+    TWO_PI,
+    OutcomeDistribution,
+    pauli_coefficients,
+)
 
 PAULI_Z = np.diag([1.0, -1.0])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -97,6 +105,18 @@ def test_distribution_json_keys():
     assert sum(data.values()) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_distribution_json_follows_port_order():
+    # Every probability distinct, so a swapped label or a transposed order shows.
+    dist = OutcomeDistribution(np.arange(1.0, 9.0).reshape(2, 2, 2) / 36.0)
+    expected = [
+        ("".join("+-"[port] for port in ports), dist.probs[ports])
+        for ports in itertools.product((0, 1), repeat=3)
+    ]
+    data = dist.to_jsonable()
+    assert list(data) == list(OUTCOME_LABELS)
+    assert list(data.items()) == expected
+
+
 def test_outcome_distribution_validates_simplex():
     with pytest.raises(ValueError):
         OutcomeDistribution(np.full((2, 2, 2), 0.2))
@@ -144,33 +164,53 @@ def test_pauli_coefficients_identity_entry_is_trace(seed):
     assert abs(coeffs[0, 0, 0] - 1.0) < 1e-12
 
 
+#: A PureState and a DensityMatrix: the tensor cache keys on either.
+STATE_KINDS = (make_w, lambda: as_density(make_w()))
+
+
 def test_pauli_coefficients_are_held_read_only_per_density_matrix():
-    rho = as_density(make_w())
-    coeffs = pauli_coefficients(rho)
-    assert pauli_coefficients(rho) is coeffs
-    assert correlation(rho, (0.0, 0.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
-    assert pauli_coefficients(rho) is coeffs
-    assert not coeffs.flags.writeable
-    with pytest.raises(ValueError):
-        coeffs[0, 0, 0] = 0.0
-    # An equal state is another instance: its own, equal tensor.
-    twin = as_density(make_w())
-    assert pauli_coefficients(twin) is not coeffs
-    assert np.array_equal(pauli_coefficients(twin), coeffs)
+    for make_state in STATE_KINDS:
+        state = make_state()
+        coeffs = pauli_coefficients(state)
+        assert pauli_coefficients(state) is coeffs
+        assert correlation(state, (0.0, 0.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
+        assert pauli_coefficients(state) is coeffs
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0, 0, 0] = 0.0
+        # An equal state is another instance: its own, equal tensor.
+        twin = make_state()
+        assert pauli_coefficients(twin) is not coeffs
+        assert np.array_equal(pauli_coefficients(twin), coeffs)
 
 
 def test_pauli_coefficients_keep_no_state_alive():
-    rho = as_density(make_w())
-    pauli_coefficients(rho)
-    alive = weakref.ref(rho)
-    del rho
-    assert alive() is None
+    for make_state in STATE_KINDS:
+        state = make_state()
+        pauli_coefficients(state)
+        alive = weakref.ref(state)
+        del state
+        assert alive() is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pauli_coefficients,
+        lambda state: correlation(state, (0.0, 0.0, 0.0)),
+        lambda state: sample_counts(state, symmetric_pairs(0.0, 1.0), 10, seed=0),
+    ],
+    ids=["pauli_coefficients", "correlation", "sample_counts"],
+)
+def test_non_state_is_rejected_before_the_cache(call):
+    with pytest.raises(ValueError, match="expected PureState or DensityMatrix, got str"):
+        call("w")
 
 
 def test_pauli_coefficients_under_concurrent_first_calls():
     # Threads racing on each state's first call must all get the one stored
     # array; a lost update would hand some of them a second copy.
-    states = [as_density(make_w()) for _ in range(200)]
+    states = [make_state() for make_state in STATE_KINDS for _ in range(100)]
     seen = [[] for _ in range(6)]
 
     def work(out):

@@ -32,7 +32,9 @@ from tribell import (
     sample_counts,
     symmetric_pairs,
 )
-from tribell.shots import MAX_SHOTS_PER_SETTING
+from tribell.inequalities import SETTING_KEYS
+from tribell.polarimetry import OUTCOME_LABELS
+from tribell.shots import MAX_SHOTS_PER_SETTING, _setting_stream
 
 COMMENT_PAIRS = symmetric_pairs(math.pi / 2.0, 0.0)
 OPTIMAL_PAIRS = symmetric_pairs(math.radians(35.264), math.radians(144.736))
@@ -299,6 +301,41 @@ def test_count_table_serialization():
     rows = table.to_csv_rows()
     assert rows[0] == ["i", "j", "k", "outcome", "count"]
     assert len(rows) == 1 + 64
+
+
+def test_count_table_serializes_in_setting_and_outcome_order():
+    # Every count distinct, so a swapped label or a transposed reshape shows.
+    counts = np.arange(64).reshape(8, 8)
+    counts[:, -1] = 10_000 - counts[:, :-1].sum(axis=1)
+    table = CountTable(counts, 10_000)
+    assert len(np.unique(table.counts)) == 64
+    expected = [
+        (f"{i}{j}{k}", "".join("+-"[o] for o in (oa, ob, oc)),
+         table.counts[i, j, k, 4 * oa + 2 * ob + oc])
+        for i, j, k in itertools.product((0, 1), repeat=3)
+        for oa, ob, oc in itertools.product((0, 1), repeat=3)
+    ]
+    payload = table.to_jsonable()["counts"]
+    assert list(payload) == list(SETTING_KEYS)
+    assert all(list(row) == list(OUTCOME_LABELS) for row in payload.values())
+    assert [
+        (key, label, count) for key, row in payload.items() for label, count in row.items()
+    ] == expected
+    assert table.to_csv_rows()[1:] == [
+        [int(key[0]), int(key[1]), int(key[2]), label, count] for key, label, count in expected
+    ]
+
+
+def test_each_setting_draws_from_its_own_stream():
+    # Setting choice (i, j, k) draws its counts from stream 4i + 2j + k.
+    rho = random_density(np.random.default_rng(5), rank=3)
+    pairs = (SettingsPair(0.3, 2.1), SettingsPair(4.0, 1.2), SettingsPair(5.5, 0.7))
+    table = sample_counts(rho, pairs, 1_000, seed=13)
+    for i, j, k in itertools.product((0, 1), repeat=3):
+        phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
+        probs = np.clip(outcome_distribution(rho, phis).probs.reshape(8), 0.0, None)
+        draw = _setting_stream(13, 4 * i + 2 * j + k).multinomial(1_000, probs / probs.sum())
+        assert np.array_equal(table.counts[i, j, k], draw)
 
 
 def test_estimated_report_jsonable():
