@@ -364,9 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "across parties; must divide 360, at least 0.5 (default 15)")
     p.add_argument("--tolerance", type=float, default=1e-8,
                    help="ascent stops when no phase moves more than this many radians "
-                        "in a sweep; values this close to the maximum tie (default 1e-8)")
+                        "in a sweep over parties a, b, c; values this close to the "
+                        "maximum tie (default 1e-8)")
     p.add_argument("--max-iterations", type=int, default=2000,
-                   help="most ascent sweeps over parties a, b, c per start, "
+                   help="most ascent iterations per start, each a sweep over parties "
+                        "a, b, c plus at most one Newton step, "
                         f"at most {optimizer.MAX_REFINE_ITERATIONS} (default 2000)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random restarts, in [0, 2**64 - 1] (default 0)")

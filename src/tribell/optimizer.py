@@ -4,9 +4,12 @@ A coarse exhaustive grid on the party-symmetric subspace (phi_a = phi_b =
 phi_c, phi'_a = phi'_b = phi'_c) seeds exact block-coordinate ascent on the
 six-dimensional torus: S is linear in each party's weights g = (cos phi,
 -sin phi), so one party's best phases, the other two fixed, are closed form.
-Everything is deterministic for a fixed config, including the reduction over
-ascent runs: the first candidate in seed order within refine_tolerance of the
-maximum value.
+Block sweeps alone converge only linearly where the parties' phases are
+coupled, so each sweep after the first is followed by a saddle-free Newton
+step over all six phases, whose exact gradient and Hessian the trilinear form
+gives in closed form.  Everything is deterministic for a fixed config,
+including the reduction over ascent runs: the first candidate in seed order
+within refine_tolerance of the maximum value.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ _TOP_SEEDS = 10
 #: scores 720^2 = 518400 points before any refinement.
 MAX_GRID_CELLS = 720
 
-#: Caps on the seed list and on the ascent sweeps per seed of any valid config.
+#: Caps on the seed list and on the ascent iterations per seed of any valid config.
 MAX_RANDOM_RESTARTS = 10_000
 MAX_REFINE_ITERATIONS = 100_000
 
@@ -120,15 +123,20 @@ def _fields(blocks, g: np.ndarray, party: int) -> np.ndarray:
 
 
 def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
-    """Exact block-coordinate ascent of |S| from each row of x0, all rows at once.
+    """Block-coordinate ascent of |S|, Newton-accelerated, from each row of x0 at once.
 
     With two parties fixed, S = sum_s g_s . v_s over the third party's settings
     s, so g_s = v_s / |v_s| maximizes it, to |v_0| + |v_1|; a zero field keeps
     its phase.  The sign of S is taken once per row, at its start.  A row
     sweeps parties a, b, c until no phase moves by more than `tolerance`
     radians in a sweep, or for at most `max_sweeps` sweeps, and then drops out
-    of later sweeps, so its path does not depend on the other rows.  Returns
-    the (m, 6) phases, the m values |S| and the m sweep counts.
+    of later sweeps, so its path does not depend on the other rows.  Block
+    ascent alone converges only linearly where the parties' phases are coupled
+    (W takes hundreds of sweeps), so after each sweep from the second on, a
+    row that has not stopped also takes one saddle-free Newton step over all
+    six phases (_newton_step).  An iteration is a sweep plus at most one
+    Newton step.  Returns the (m, 6) phases, the m values |S| and the m
+    iteration counts.
     """
     blocks = [np.moveaxis(form, p, -1).reshape(16, 4) for p in range(3)]
     # The rows still ascending: their indices, phases, weights and signs of S.
@@ -143,8 +151,7 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
         start = xs.copy()
         for party in range(3):
             field = (signs * _fields(blocks, gs, party)).reshape(-1, 2, 2)
-            phi = np.arctan2(-field[..., 1], field[..., 0]) % TWO_PI
-            phi[phi >= TWO_PI] = 0.0  # as in wrap_phase
+            phi = _wrap(np.arctan2(-field[..., 1], field[..., 0]))
             if not field.all():  # a zero field keeps its phase
                 zero = ~field.any(axis=-1)
                 phi[zero] = xs[:, 2 * party : 2 * party + 2][zero]
@@ -156,7 +163,71 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
         if done.any():
             x[rows[done]], g[rows[done]], sweeps[rows[done]] = xs[done], gs[done], sweep
             rows, xs, gs, signs = rows[~done], xs[~done], gs[~done], signs[~done]
+        if sweep >= 2 and rows.size:
+            xs = _newton_step(blocks, xs, gs, signs)
+            gs = _phase_weights(xs).reshape(-1, 3, 4)
     return x, np.abs(_values(blocks, g)), sweeps
+
+
+#: Eigenvalues of the phase Hessian below this share of its largest one in
+#: magnitude are flat directions, left out of the Newton step.
+_FLAT_EIGENVALUE = 1e-9
+#: Scales of the Newton step tried in turn, and the loss in sign * S, relative
+#: to |S|, that a trial may show and still count as no lower (rounding).
+_BACKTRACK_SCALES = np.array([1.0, 0.5, 0.25, 0.125])
+_VALUE_SLACK = 1e-13
+
+
+def _newton_step(blocks, x: np.ndarray, g: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """One saddle-free Newton step of f = sign * S at each row of the (m, 6) phases.
+
+    S is trilinear in the three parties' 4-vectors of weights, so its Hessian
+    over all twelve weights has a zero block per party and, between parties p
+    and q, the form with the third party's weights contracted; the gradient
+    is half that Hessian times the weights.  Since d(cos phi, -sin phi)/dphi
+    = (-sin phi, -cos phi) and the second derivative is -g, the phase gradient
+    is field . dg and the phase Hessian dg^T H dg with -field . g added on its
+    diagonal.  The step V |L|^-1 V^T grad over the eigenpairs (L, V) that are
+    not flat ascends f also near a saddle (Dauphin et al., 2014).  It is tried
+    at each of _BACKTRACK_SCALES in turn, and the first trial no lower than f
+    (within _VALUE_SLACK) is kept; a row with none keeps its phases.
+    """
+    m = len(x)
+    hess = np.zeros((m, 3, 4, 3, 4))
+    for party in range(3):
+        first, second = (q for q in range(3) if q != party)
+        pair = signs[:, :, None] * (g[:, party] @ blocks[party].T).reshape(-1, 4, 4)
+        hess[:, first, :, second, :] = pair
+        hess[:, second, :, first, :] = pair.transpose(0, 2, 1)
+    hess = hess.reshape(m, 6, 2, 6, 2)
+    w = g.reshape(m, 6, 2)
+    field = np.einsum("mikjl,mjl->mik", hess, w) / 2.0
+    dw = np.stack((w[..., 1], -w[..., 0]), axis=-1)
+    grad = (field * dw).sum(axis=-1)
+    h = np.einsum("mik,mikjl,mjl->mij", dw, hess, dw)
+    h[:, np.arange(6), np.arange(6)] -= (field * w).sum(axis=-1)
+
+    lam, vec = np.linalg.eigh(h)
+    size = np.abs(lam)
+    kept = size > _FLAT_EIGENVALUE * size.max(axis=1, keepdims=True)
+    along = np.einsum("mji,mj->mi", vec, grad) / np.where(kept, size, np.inf)
+    step = np.einsum("mij,mj->mi", vec, along)
+
+    # Scored by _values like the trials, so both sides of the test round alike.
+    value = signs[:, 0] * _values(blocks, g)
+    trials = x[:, None, :] + _BACKTRACK_SCALES[None, :, None] * step[:, None, :]
+    trial_g = _phase_weights(trials).reshape(-1, 3, 4)
+    trial_values = signs * _values(blocks, trial_g).reshape(m, -1)
+    ok = trial_values >= (value - _VALUE_SLACK * np.abs(value))[:, None]
+    chosen = _wrap(trials[np.arange(m), ok.argmax(axis=1)])
+    return np.where(ok.any(axis=1)[:, None], chosen, x)
+
+
+def _wrap(phi: np.ndarray) -> np.ndarray:
+    """Phases wrapped to [0, 2*pi), as wrap_phase does."""
+    phi = phi % TWO_PI
+    phi[phi >= TWO_PI] = 0.0
+    return phi
 
 
 def _values(blocks, g: np.ndarray) -> np.ndarray:
@@ -175,9 +246,10 @@ def optimize(
     and smaller settings first among equal scores, then the random restarts
     in draw order.  All of them ascend together, as one batch.  The first
     candidate whose value lies within refine_tolerance of the maximum over all
-    candidates is reported.  The trace gains a point, at the sweeps run so far
-    in seed order, for each candidate that beats the best value before it by
-    more than refine_tolerance, the margin within which values tie.
+    candidates is reported.  The trace gains a point, at the ascent iterations
+    run so far in seed order, for each candidate that beats the best value
+    before it by more than refine_tolerance, the margin within which values
+    tie.
     """
     if config is None:
         config = OptimizationConfig()
@@ -198,16 +270,16 @@ def optimize(
         restarts = rng.uniform(0.0, TWO_PI, (config.random_restarts, 6))
         seeds = np.concatenate((seeds, restarts))
 
-    x, values, sweeps = _ascend(
+    x, values, iterations = _ascend(
         form, seeds, config.refine_tolerance, config.max_refine_iterations
     )
 
     best_so_far = float(scores[top[0]])
     trace = [(0, best_so_far)]
-    for total_sweeps, f in zip(np.cumsum(sweeps).tolist(), values.tolist()):
+    for total, f in zip(np.cumsum(iterations).tolist(), values.tolist()):
         if f > best_so_far + config.refine_tolerance:
             best_so_far = f
-            trace.append((total_sweeps, f))
+            trace.append((total, f))
 
     best = int(np.flatnonzero(values >= values.max() - config.refine_tolerance)[0])
     best_x = x[best].tolist()
@@ -247,8 +319,11 @@ def objective_symmetries(settings) -> list:
     return out
 
 
-def circular_distance(a: float, b: float) -> float:
-    """Shortest angular distance between two phases, in radians."""
+def circular_distance(a, b):
+    """Shortest angular distance between two phases, in radians.
+
+    Takes floats or arrays of phases, elementwise with numpy broadcasting.
+    """
     return abs((a - b + math.pi) % TWO_PI - math.pi)
 
 

@@ -25,10 +25,13 @@ from tribell import (
     optimize,
     symmetric_pairs,
 )
+from tribell import optimizer
+from tribell.cli import NAMED_STATES
 from tribell.optimizer import (
     MAX_RANDOM_RESTARTS,
     MAX_REFINE_ITERATIONS,
     _ascend,
+    _newton_step,
     _trilinear_form,
     circular_distance,
     settings_distance,
@@ -160,8 +163,8 @@ def test_zero_field_keeps_every_phase():
 @pytest.mark.parametrize(
     "state, functional, trace_sweeps",
     [
-        (make_w, Functional.MERMIN, [0, 262]),
-        (make_w, Functional.SVETLICHNY, [0, 14]),
+        (make_w, Functional.MERMIN, [0, 4]),
+        (make_w, Functional.SVETLICHNY, [0, 5]),
         (lambda: make_ghz("circular_rl"), Functional.MERMIN, [0]),
         (lambda: make_ghz("circular_rl"), Functional.SVETLICHNY, [0]),
         # The first ascent ends 3 ulp above the grid score: a tie, not a trace point.
@@ -178,6 +181,95 @@ def test_default_runs_trace_only_real_improvements(state, functional, trace_swee
     assert all(b > a + config.refine_tolerance for a, b in zip(values, values[1:]))
 
 
+def _finite_differences(value, x, h=1e-4):
+    """Central-difference gradient and Hessian of `value` at the six phases x."""
+    steps = np.eye(6) * h
+    grad = np.array([(value(x + e) - value(x - e)) / (2.0 * h) for e in steps])
+    hess = np.array([
+        [(value(x + ei + ej) - value(x + ei - ej) - value(x - ei + ej) + value(x - ei - ej))
+         / (4.0 * h * h) for ej in steps]
+        for ei in steps
+    ])
+    return grad, hess
+
+
+def _assert_local_maximum(rho, x, functional):
+    """|S| is stationary at x, and curves down or stays flat in every direction."""
+    grad, hess = _finite_differences(lambda y: abs(_functional_at(rho, y, functional)), x)
+    assert np.abs(grad).max() <= 1e-6
+    assert np.linalg.eigvalsh(hess).max() <= 1e-6
+
+
+@pytest.mark.parametrize("functional", list(Functional))
+@pytest.mark.parametrize("name", list(NAMED_STATES))
+def test_default_runs_end_at_a_local_maximum(name, functional):
+    rho = NAMED_STATES[name]()
+    settings = optimize(rho, functional).best_settings
+    x = np.array([phase for pair in settings for phase in (pair.phi, pair.phi_prime)])
+    _assert_local_maximum(rho, x, functional)
+
+
+def _form_values(form, x) -> np.ndarray:
+    """S at each row of the (m, 6) phases x, contracted from the form directly."""
+    g = np.stack((np.cos(x), -np.sin(x)), axis=-1).reshape(-1, 3, 4)
+    return np.einsum("abc,ma,mb,mc->m", form, g[:, 0], g[:, 1], g[:, 2])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_newton_step_never_descends_and_ascent_ends_at_local_maxima(seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng)
+    starts = rng.uniform(0.0, 2.0 * math.pi, (4, 6))
+    for functional in Functional:
+        form = _trilinear_form(rho, functional)
+        blocks = [np.moveaxis(form, p, -1).reshape(16, 4) for p in range(3)]
+        # From the random starts, and from where one block sweep takes them.
+        swept, _, _ = _ascend(form, starts, 1e-8, 1)
+        x = np.concatenate((starts, swept))
+        before = _form_values(form, x)
+        signs = np.where(before >= 0.0, 1.0, -1.0)[:, None]
+        g = np.stack((np.cos(x), -np.sin(x)), axis=-1).reshape(-1, 3, 4)
+        after = signs[:, 0] * _form_values(form, _newton_step(blocks, x, g, signs))
+        assert np.all(after >= np.abs(before) * (1.0 - 1e-13))
+        for x in _ascend(form, starts, 1e-8, 2000)[0]:
+            _assert_local_maximum(rho, x, functional)
+
+
+def _ascent_iterations(monkeypatch, state, functional, config):
+    """optimize's result and the per-seed iteration counts of its one ascent."""
+    counts = []
+
+    def recording(*args):
+        out = _ascend(*args)
+        counts.append(out[2])
+        return out
+
+    monkeypatch.setattr(optimizer, "_ascend", recording)
+    result = optimize(state, functional, config)
+    (iterations,) = counts
+    return result, iterations
+
+
+@pytest.mark.parametrize(
+    "functional, most", [(Functional.MERMIN, 10), (Functional.SVETLICHNY, 20)]
+)
+def test_w_grid_seeds_converge_in_few_iterations(monkeypatch, functional, most):
+    # Block sweeps alone take up to 262 (Mermin) and 207 (Svetlichny) on these seeds.
+    _, iterations = _ascent_iterations(monkeypatch, make_w(), functional, OptimizationConfig())
+    assert len(iterations) == 10
+    assert iterations.max() <= most
+
+
+def test_w_mermin_random_restarts_reach_the_maximum_in_few_iterations(monkeypatch):
+    config = OptimizationConfig(random_restarts=200, seed=3)
+    result, iterations = _ascent_iterations(monkeypatch, make_w(), Functional.MERMIN, config)
+    assert result.best_value == pytest.approx(3.045956, abs=1e-6)
+    assert len(iterations) == 210
+    # Block sweeps alone take about 500 on the slowest of these rows.
+    assert iterations.max() <= 100
+
+
 def test_optimize_without_restarts_draws_no_random_numbers(monkeypatch):
     def no_generator(*args, **kwargs):
         raise AssertionError("default_rng called without random restarts")
@@ -187,7 +279,8 @@ def test_optimize_without_restarts_draws_no_random_numbers(monkeypatch):
 
 
 def test_ascent_with_unreachable_tolerance_stops_at_sweep_cap():
-    # W Mermin converges slowly: uncapped, its first improvement comes after 262 sweeps.
+    # At the default tolerance W Mermin's seeds converge within 4 iterations;
+    # here the cap of 3 stops them first.
     config = OptimizationConfig(refine_tolerance=5e-324, max_refine_iterations=3)
     result = optimize(make_w(), Functional.MERMIN, config)
     assert len(result.trace) > 1
