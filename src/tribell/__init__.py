@@ -37,6 +37,7 @@ from .optimizer import (
 )
 from .polarimetry import (
     OutcomeDistribution,
+    StateTensor,
     analyzer_observable,
     analyzer_projectors,
     correlation,

@@ -23,14 +23,8 @@ from .inequalities import (
     symmetric_pairs,
 )
 from .lhv import ModelClass, lhv_max
-from .polarimetry import correlation, outcome_distribution
-from .qstate import (
-    as_density,
-    make_ghz,
-    make_w,
-    mix_with_white_noise,
-    state_from_jsonable,
-)
+from .polarimetry import StateTensor, correlation, outcome_distribution
+from .qstate import make_ghz, make_w, state_from_jsonable
 
 #: CLI state names and the constructors they stand for.
 NAMED_STATES = {
@@ -86,13 +80,13 @@ def _load_state(state_arg: str):
     return state_from_jsonable(data)
 
 
-def _prepare_state(args):
-    """The request's one validated DensityMatrix, which every later step shares."""
-    state = as_density(_load_state(args.state))
-    visibility = getattr(args, "visibility", None)
-    if visibility is not None:
-        state = mix_with_white_noise(state, visibility)
-    return state
+def _prepare_state(args) -> StateTensor:
+    """The request's state tensor at its --visibility (1 if unset), shared by every step.
+
+    The state itself is validated once; white noise only rescales its tensor.
+    """
+    visibility = 1.0 if args.visibility is None else args.visibility
+    return StateTensor(_load_state(args.state), visibility)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:

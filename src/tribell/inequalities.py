@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polarimetry import analyzer_weights, pauli_coefficients, wrap_phase
+from .polarimetry import StateTensor, analyzer_weights, pauli_coefficients, wrap_phase
 from .qstate import DensityMatrix, PureState
 
 ENTRY_ATOL = 1e-10
@@ -125,7 +125,7 @@ class CorrelationTensor:
 
 
 def correlation_tensor(
-    state: PureState | DensityMatrix, pairs
+    state: PureState | DensityMatrix | StateTensor, pairs
 ) -> CorrelationTensor:
     """Evaluate all eight correlations for a two-settings-per-party scenario.
 

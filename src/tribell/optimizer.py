@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import SIGN_TENSOR, Functional, SettingsPair
-from .polarimetry import TWO_PI, pauli_coefficients, wrap_phase
+from .polarimetry import TWO_PI, StateTensor, pauli_coefficients, wrap_phase
 from .qstate import DensityMatrix, PureState
 from .shots import check_seed
 
@@ -101,7 +101,7 @@ def _phase_weights(phases) -> np.ndarray:
     return np.stack((np.cos(phases), -np.sin(phases)), axis=-1)
 
 
-def _trilinear_form(state: PureState | DensityMatrix, functional: Functional):
+def _trilinear_form(state: PureState | DensityMatrix | StateTensor, functional: Functional):
     """K[(i, u), (j, v), (k, w)] = c[i, j, k] T[u, v, w] as a 4x4x4 array.
 
     S is K contracted with the weights (g(phi), g(phi')) of parties a, b, c.
@@ -172,9 +172,12 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
 #: Eigenvalues of the phase Hessian below this share of its largest one in
 #: magnitude are flat directions, left out of the Newton step.
 _FLAT_EIGENVALUE = 1e-9
-#: Scales of the Newton step tried in turn, and the loss in sign * S, relative
-#: to |S|, that a trial may show and still count as no lower (rounding).
-_BACKTRACK_SCALES = np.array([1.0, 0.5, 0.25, 0.125])
+#: Scales of the Newton step tried in turn, 1 halved down to 2**-10, and the
+#: loss in sign * S, relative to |S|, that a trial may show and still count
+#: as no lower (rounding).  Where the phase Hessian has a small positive
+#: eigenvalue the full step along it is radians long, so the halving has to
+#: reach far below 1/8 for the step to be kept.
+_BACKTRACK_SCALES = 2.0 ** -np.arange(11.0)
 _VALUE_SLACK = 1e-13
 
 
@@ -236,7 +239,7 @@ def _values(blocks, g: np.ndarray) -> np.ndarray:
 
 
 def optimize(
-    state: PureState | DensityMatrix,
+    state: PureState | DensityMatrix | StateTensor,
     functional: Functional,
     config: OptimizationConfig | None = None,
 ) -> OptimizationResult:

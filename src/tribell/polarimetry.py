@@ -11,9 +11,15 @@ combinations of I, Z and X, so a state enters every correlation and outcome
 probability only through its 27 coefficients Re tr(rho P_u x P_v x P_w),
 P in (I, Z, X) (pauli_coefficients).  Each Born-rule number is that tensor
 contracted with one weight row per party.  The tensor is computed once per
-DensityMatrix instance and held read-only for as long as that instance lives,
-so every later correlation or distribution of the same state is only the
-contraction.  The cache holds no state alive and is safe for concurrent use.
+state instance, PureState or DensityMatrix, and held read-only for as long as
+that instance lives, so every later correlation or distribution of the same
+state is only the contraction.  The cache holds no state alive and is safe
+for concurrent use.
+
+White noise acts on the tensor alone.  The identity's only nonzero
+coefficient is T[0, 0, 0], so v*rho + (1-v)*identity/8 has the tensor v*T with
+1 - v added to T[0, 0, 0] (StateTensor): a noisy state needs neither a second
+density matrix nor a second expansion.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import cmath
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -106,7 +112,7 @@ def _izx_expansion(state: PureState | DensityMatrix) -> np.ndarray:
     return coeffs
 
 
-def pauli_coefficients(state: PureState | DensityMatrix) -> np.ndarray:
+def pauli_coefficients(state: PureState | DensityMatrix | StateTensor) -> np.ndarray:
     """T[u, v, w] = Re tr(rho P_u x P_v x P_w) over P in (I, Z, X).
 
     T[0, 0, 0] = tr(rho) = 1.  The Z/X block T[1:, 1:, 1:] gives every
@@ -115,8 +121,11 @@ def pauli_coefficients(state: PureState | DensityMatrix) -> np.ndarray:
     every outcome probability.
 
     The first call for a state instance, PureState or DensityMatrix, computes
-    T; later calls for the same instance return that same read-only array.
+    T; later calls for the same instance return that same read-only array.  A
+    StateTensor returns its values.
     """
+    if isinstance(state, StateTensor):
+        return state.values
     if not isinstance(state, (PureState, DensityMatrix)):
         raise ValueError(
             f"expected PureState or DensityMatrix, got {type(state).__name__}"
@@ -126,6 +135,31 @@ def pauli_coefficients(state: PureState | DensityMatrix) -> np.ndarray:
         # setdefault keeps the first array stored if two threads race here.
         coeffs = _COEFFICIENTS.setdefault(state, _izx_expansion(state))
     return coeffs
+
+
+@dataclass(frozen=True, eq=False)
+class StateTensor:
+    """The read-only coefficient tensor of a state at a visibility v in [0, 1].
+
+    values = v*T with 1 - v added to T[0, 0, 0], the tensor of
+    v*rho + (1-v)*identity/8 (mix_with_white_noise); at v = 1 it equals T
+    bitwise.  correlation, outcome_distribution, correlation_tensor,
+    sample_counts, critical_visibility and optimize take it in place of a state.
+    """
+
+    state: InitVar[PureState | DensityMatrix]
+    visibility: float = 1.0
+    values: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, state):
+        v = float(self.visibility)
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"visibility must lie in [0, 1], got {v}")
+        values = v * pauli_coefficients(state)
+        values[0, 0, 0] += 1.0 - v
+        values.flags.writeable = False
+        object.__setattr__(self, "visibility", v)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +192,7 @@ class OutcomeDistribution:
 
 
 def outcome_distribution(
-    state: PureState | DensityMatrix, settings
+    state: PureState | DensityMatrix | StateTensor, settings
 ) -> OutcomeDistribution:
     """Joint +-1 outcome distribution for three analyzers at the given phases."""
     phis = tuple(float(p) for p in settings)
@@ -169,7 +203,7 @@ def outcome_distribution(
     return OutcomeDistribution(probs)
 
 
-def correlation(state: PureState | DensityMatrix, settings) -> float:
+def correlation(state: PureState | DensityMatrix | StateTensor, settings) -> float:
     """Expectation of the product of the three +-1 outcomes, tr(rho sa x sb x sc)."""
     phis = tuple(float(p) for p in settings)
     if len(phis) != 3:

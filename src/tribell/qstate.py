@@ -61,7 +61,9 @@ class DensityMatrix:
         rho = np.array(self.entries, dtype=complex).reshape(DIM, DIM)
         if not np.isfinite(rho).all():
             raise ValueError("density matrix entries must be finite, got NaN or inf")
-        if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=HERMITIAN_ATOL):
+        # Entries are finite here, so this accepts exactly what
+        # np.allclose(rho, rho^dagger, rtol=0, atol=HERMITIAN_ATOL) accepts.
+        if np.abs(rho - rho.conj().T).max() > HERMITIAN_ATOL:
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(rho))
         if abs(trace - 1.0) > TRACE_ATOL:
@@ -148,6 +150,9 @@ def state_from_jsonable(data) -> PureState | DensityMatrix:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"state JSON must hold {expected}: {exc}") from exc
+    # A JSON true or false converts to 1.0 or 0.0 above; it is not a number.
+    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(data, dtype=object).flat):
+        raise ValueError(f"state JSON must hold {expected}; got a boolean (true or false)")
     if arr.shape == (DIM, 2):
         return PureState(arr[:, 0] + 1j * arr[:, 1])
     if arr.shape == (DIM, DIM, 2):

@@ -185,12 +185,23 @@ def test_reproduce_builds_each_state_once(work):
 def test_sample_computes_the_tensor_once(capsys, work, visibility):
     code, _, _ = run_cli(capsys, *REQUESTS["sample"], *visibility, "--format", "json")
     assert code == 0
-    assert work == {"states": 1 + len(visibility) // 2, "tensors": 1}
+    assert work == {"states": 1, "tensors": 1}
 
 
 @pytest.mark.parametrize("request_name", ["correlations-angles", "correlations-pairs"])
 def test_correlations_build_one_state_and_one_tensor(capsys, work, request_name):
     code, _, _ = run_cli(capsys, *REQUESTS[request_name], "--format", "json")
+    assert code == 0
+    assert work == {"states": 1, "tensors": 1}
+
+
+@pytest.mark.parametrize(
+    "request_name", ["correlations-angles", "correlations-pairs", "optimize"]
+)
+def test_visibility_builds_no_second_state_or_tensor(capsys, work, request_name):
+    # White noise rescales the tensor: no mixed density matrix, no second expansion.
+    argv = [*REQUESTS[request_name], "--visibility", "0.9", "--format", "json"]
+    code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert work == {"states": 1, "tensors": 1}
 
@@ -344,6 +355,17 @@ def test_state_file_of_wrong_form_names_accepted_forms(capsys, tmp_path, data):
     message = json.loads(err)["error"]
     assert "8 [re, im] amplitude pairs" in message
     assert "8x8 matrix" in message
+
+
+def test_state_file_with_a_boolean_exits_two(capsys, tmp_path):
+    state_path = tmp_path / "bool.json"
+    state_path.write_text(json.dumps([[True, 0]] + [[0, 0]] * 7))
+    code, out, err = run_cli(
+        capsys, "correlations", "--state", str(state_path), "--angles", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "got a boolean" in json.loads(err)["error"]
 
 
 def test_directory_as_state_exits_two(capsys, tmp_path):

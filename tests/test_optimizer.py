@@ -270,6 +270,19 @@ def test_w_mermin_random_restarts_reach_the_maximum_in_few_iterations(monkeypatc
     assert iterations.max() <= 100
 
 
+def test_newton_step_backtracks_far_enough_on_a_small_curvature():
+    # This state's phase Hessian has small positive eigenvalues, along which
+    # the full Newton step is radians long.  Halving only down to 1/8 rejected
+    # it every time, and the slowest row fell back to 779 block sweeps.
+    rho = random_density(np.random.default_rng(909))
+    starts = np.random.default_rng(909).uniform(0.0, 2.0 * math.pi, (10, 6))
+    _, values, iterations = _ascend(
+        _trilinear_form(rho, Functional.MERMIN), starts, 1e-8, 2000
+    )
+    assert iterations.max() <= 30
+    assert values.max() == pytest.approx(2.194852647792, abs=1e-12)
+
+
 def test_optimize_without_restarts_draws_no_random_numbers(monkeypatch):
     def no_generator(*args, **kwargs):
         raise AssertionError("default_rng called without random restarts")

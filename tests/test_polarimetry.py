@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_angles, random_density
+from helpers import random_angles, random_density, random_pure
 from tribell import (
     PureState,
+    StateTensor,
     analyzer_observable,
     analyzer_projectors,
     as_density,
@@ -245,6 +246,38 @@ def test_zx_coefficients_equal_kronecker_traces_bitwise(state, visibility):
         op = np.kron(np.kron(paulis[u], paulis[v]), paulis[w])
         reference[u, v, w] = float(np.trace(mixed.entries @ op).real)
     assert np.array_equal(pauli_coefficients(mixed)[1:, 1:, 1:], reference)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pure=st.booleans(),
+    visibility=st.floats(0.0, 1.0),
+)
+def test_state_tensor_mixes_white_noise_into_the_coefficients(seed, pure, visibility):
+    rng = np.random.default_rng(seed)
+    state = random_pure(rng) if pure else random_density(rng)
+    mixed = pauli_coefficients(StateTensor(state, visibility))
+    reference = pauli_coefficients(mix_with_white_noise(as_density(state), visibility))
+    assert np.abs(mixed - reference).max() <= 1e-15
+    assert not mixed.flags.writeable
+    assert np.array_equal(StateTensor(state, 1.0).values, pauli_coefficients(state))
+
+
+@given(
+    visibility=st.one_of(
+        st.floats(max_value=0.0, exclude_max=True),
+        st.floats(min_value=1.0, exclude_min=True),
+        st.just(math.nan),
+    )
+)
+def test_state_tensor_rejects_visibility_outside_the_unit_interval(visibility):
+    with pytest.raises(ValueError, match="visibility must lie in"):
+        StateTensor(make_w(), visibility)
+
+
+def test_state_tensor_rejects_a_non_state():
+    with pytest.raises(ValueError, match="expected PureState or DensityMatrix, got str"):
+        StateTensor("w", 0.9)
 
 
 def test_w_correlations_known_values():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import random_density, random_pure
@@ -18,7 +18,7 @@ from tribell import (
     pure_to_density,
     state_from_jsonable,
 )
-from tribell.qstate import ket_index
+from tribell.qstate import HERMITIAN_ATOL, ket_index
 
 
 def test_w_amplitudes():
@@ -182,3 +182,48 @@ def test_density_serialization_round_trip():
 def test_state_from_jsonable_rejects_bad_shape():
     with pytest.raises(ValueError):
         state_from_jsonable([[1.0, 0.0]] * 4)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[True, 0]] + [[0, 0]] * 7,
+        [[1.0, False]] + [[0.0, 0.0]] * 7,
+        maximally_mixed().to_jsonable()[:7] + [[[0.125, False]] + [[0.0, 0.0]] * 7],
+        np.array([[True, False]] + [[False, False]] * 7),
+    ],
+    ids=["pure-true", "pure-false", "density-false", "numpy-bool"],
+)
+def test_state_from_jsonable_rejects_booleans(data):
+    with pytest.raises(ValueError, match="got a boolean"):
+        state_from_jsonable(data)
+
+
+_UP = float(np.nextafter(HERMITIAN_ATOL, 1.0))
+_DOWN = float(np.nextafter(HERMITIAN_ATOL, 0.0))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    exact_base=st.booleans(),
+    size=st.one_of(st.sampled_from([HERMITIAN_ATOL, _UP, _DOWN]), st.floats(0.0, 3e-12)),
+    direction=st.sampled_from([1.0, -1.0, 1j, -1j, (0.6 + 0.8j)]),
+)
+@example(seed=0, exact_base=True, size=HERMITIAN_ATOL, direction=1.0)
+@example(seed=0, exact_base=True, size=_UP, direction=1.0)
+@example(seed=0, exact_base=True, size=HERMITIAN_ATOL, direction=-1j)
+@example(seed=0, exact_base=True, size=_UP, direction=-1j)
+def test_hermitian_check_matches_allclose(seed, exact_base, size, direction):
+    # One off-diagonal entry moves, so the trace stays 1 and the spectrum moves
+    # by about 1e-12: only the Hermitian check can reject.  On the maximally
+    # mixed base the asymmetry is exactly the perturbation, atol itself included.
+    rng = np.random.default_rng(seed)
+    base = maximally_mixed() if exact_base else random_density(rng)
+    rho = (base.entries + base.entries.conj().T) / 2.0
+    i, j = rng.choice(8, size=2, replace=False)
+    rho[i, j] += size * direction
+    if np.allclose(rho, rho.conj().T, rtol=0.0, atol=HERMITIAN_ATOL):
+        DensityMatrix(rho)
+    else:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(rho)

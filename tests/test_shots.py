@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_density
@@ -326,15 +326,19 @@ def test_count_table_serializes_in_setting_and_outcome_order():
     ]
 
 
-def test_each_setting_draws_from_its_own_stream():
-    # Setting choice (i, j, k) draws its counts from stream 4i + 2j + k.
+@given(seed=st.integers(0, 2**64 - 1))
+@example(seed=13)
+@example(seed=0)
+@example(seed=2**64 - 1)
+def test_each_setting_draws_from_its_own_stream(seed):
+    # Setting choice (i, j, k) draws its counts from a fresh stream 4i + 2j + k.
     rho = random_density(np.random.default_rng(5), rank=3)
     pairs = (SettingsPair(0.3, 2.1), SettingsPair(4.0, 1.2), SettingsPair(5.5, 0.7))
-    table = sample_counts(rho, pairs, 1_000, seed=13)
+    table = sample_counts(rho, pairs, 1_000, seed=seed)
     for i, j, k in itertools.product((0, 1), repeat=3):
         phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
         probs = np.clip(outcome_distribution(rho, phis).probs.reshape(8), 0.0, None)
-        draw = _setting_stream(13, 4 * i + 2 * j + k).multinomial(1_000, probs / probs.sum())
+        draw = _setting_stream(seed, 4 * i + 2 * j + k).multinomial(1_000, probs / probs.sum())
         assert np.array_equal(table.counts[i, j, k], draw)
 
 
