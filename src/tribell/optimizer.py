@@ -1,9 +1,11 @@
 """Maximization of |S_M| or |S_V| over the six analyzer phases.
 
 A coarse exhaustive grid on the party-symmetric subspace (phi_a = phi_b =
-phi_c, phi'_a = phi'_b = phi'_c) seeds exact block-coordinate ascent on the
-six-dimensional torus: S is linear in each party's weights g = (cos phi,
--sin phi), so one party's best phases, the other two fixed, are closed form.
+phi_c, phi'_a = phi'_b = phi'_c), scored as one separable matrix product
+(_grid_scores) and ranked on scores rounded to 9 decimals, ties in grid order,
+seeds exact block-coordinate ascent on the six-dimensional torus: S is
+linear in each party's weights g = (cos phi, -sin phi), so one party's best
+phases, the other two fixed, are closed form.
 Block sweeps alone converge only linearly where the parties' phases are
 coupled, so each sweep after the first is followed by a saddle-free Newton
 step over all six phases, whose exact gradient and Hessian the trilinear form
@@ -25,6 +27,9 @@ from .qstate import DensityMatrix, PureState
 from .shots import check_seed
 
 _TOP_SEEDS = 10
+#: Grid scores are ranked rounded to this many decimals, so that equal scores
+#: tie exactly whatever their rounding noise.
+_TIE_DECIMALS = 9
 
 #: Largest grid per phase axis: a 0.5 degree step, whose symmetric grid already
 #: scores 720^2 = 518400 points before any refinement.
@@ -238,6 +243,24 @@ def _values(blocks, g: np.ndarray) -> np.ndarray:
     return (_fields(blocks, g, 2) * g[:, 2]).sum(axis=1)
 
 
+def _grid_scores(form: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """|S| at every symmetric grid point (phi, phi'), row-major in (phi, phi').
+
+    Every party's weights at (phi_i, phi'_j) are p = f_i * f'_j elementwise,
+    with f_i = (cos phi_i, -sin phi_i, 1, 1) and f'_j = (1, 1, cos phi'_j,
+    -sin phi'_j), so each entry of p (x) p (x) p is m_i[abc] m'_j[abc] for the
+    outer cubes m_i of f_i and m'_j of f'_j.  The n x n table of S is then one
+    (n, 64) @ (64, n) product, (M * K) M'^T.
+    """
+    g = _phase_weights(grid)
+    ones = np.ones_like(g)
+    cubes = [
+        (f[:, :, None, None] * f[:, None, :, None] * f[:, None, None, :]).reshape(-1, 64)
+        for f in (np.concatenate((g, ones), axis=1), np.concatenate((ones, g), axis=1))
+    ]
+    return np.abs((cubes[0] * form.reshape(64)) @ cubes[1].T).reshape(-1)
+
+
 def optimize(
     state: PureState | DensityMatrix | StateTensor,
     functional: Functional,
@@ -245,14 +268,16 @@ def optimize(
 ) -> OptimizationResult:
     """Maximize |functional| over the six analyzer phases.
 
-    Candidates come in seed order: the best grid points, highest score first
-    and smaller settings first among equal scores, then the random restarts
-    in draw order.  All of them ascend together, as one batch.  The first
-    candidate whose value lies within refine_tolerance of the maximum over all
-    candidates is reported.  The trace gains a point, at the ascent iterations
-    run so far in seed order, for each candidate that beats the best value
-    before it by more than refine_tolerance, the margin within which values
-    tie.
+    Candidates come in seed order: the best grid points, then the random
+    restarts in draw order.  The grid is scored by _grid_scores and ranked
+    highest score first on scores rounded to 9 decimals, smaller settings
+    first among equal scores ((phi, phi') in row-major order), so rounding
+    noise, such as a visibility's scaling of every score, picks no seed.  All
+    candidates ascend together, as one batch.  The first candidate whose value
+    lies within refine_tolerance of the maximum over all candidates is
+    reported.  The trace gains a point, at the ascent iterations run so far in
+    seed order, for each candidate that beats the best value before it by more
+    than refine_tolerance, the margin within which values tie.
     """
     if config is None:
         config = OptimizationConfig()
@@ -260,12 +285,8 @@ def optimize(
 
     n = config.grid_cells
     grid = np.arange(n) * TWO_PI / n
-    g = _phase_weights(grid)
-    # Weights (g(phi), g(phi')) of every symmetric grid point, row-major in
-    # (phi, phi'), so the stable sort puts smaller settings first among ties.
-    points = np.concatenate((np.repeat(g, n, axis=0), np.tile(g, (n, 1))), axis=1)
-    scores = np.abs(np.einsum("abc,na,nb,nc->n", form, points, points, points, optimize=True))
-    top = np.argsort(-scores, kind="stable")[:_TOP_SEEDS]
+    scores = _grid_scores(form, grid)
+    top = np.argsort(-np.round(scores, _TIE_DECIMALS), kind="stable")[:_TOP_SEEDS]
     seeds = np.tile(np.stack((grid[top // n], grid[top % n]), axis=1), (1, 3))
     if config.random_restarts:
         # Only now, since the first default_rng call imports numpy.random.

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_angles, random_density
+from helpers import random_angles, random_density, random_pure
 from tribell import (
     Functional,
     OptimizationConfig,
     PureState,
     SettingsPair,
+    StateTensor,
     correlation_tensor,
     functional_value,
     lhv_max,
@@ -31,6 +32,7 @@ from tribell.optimizer import (
     MAX_RANDOM_RESTARTS,
     MAX_REFINE_ITERATIONS,
     _ascend,
+    _grid_scores,
     _newton_step,
     _trilinear_form,
     circular_distance,
@@ -58,6 +60,27 @@ def test_objective_is_absolute_functional_value(seed):
         expected = abs(functional_value(tensor, functional))
         form = _trilinear_form(rho, functional)
         assert abs(abs(float(form @ g[2] @ g[1] @ g[0])) - expected) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pure=st.booleans(),
+    step_degrees=st.sampled_from([360.0, 180.0, 15.0, 7.5]),
+)
+def test_grid_scores_match_direct_evaluation(seed, pure, step_degrees):
+    rng = np.random.default_rng(seed)
+    state = random_pure(rng) if pure else random_density(rng)
+    n = round(360.0 / step_degrees)
+    grid = np.arange(n) * 2.0 * math.pi / n
+    # Row-major in (phi, phi'): the index of (grid[i], grid[j]) is i * n + j.
+    tensors = [correlation_tensor(state, symmetric_pairs(phi, phi_prime))
+               for phi in grid for phi_prime in grid]
+    for functional in Functional:
+        expected = [abs(functional_value(tensor, functional)) for tensor in tensors]
+        scores = _grid_scores(_trilinear_form(state, functional), grid)
+        assert scores.shape == (n * n,)
+        assert np.abs(scores - expected).max() <= 1e-12
 
 
 def test_config_rejects_bad_values():
@@ -207,6 +230,42 @@ def test_default_runs_end_at_a_local_maximum(name, functional):
     settings = optimize(rho, functional).best_settings
     x = np.array([phase for pair in settings for phase in (pair.phi, pair.phi_prime)])
     _assert_local_maximum(rho, x, functional)
+
+
+@pytest.mark.parametrize("functional", list(Functional))
+@pytest.mark.parametrize("name", list(NAMED_STATES))
+def test_visibility_does_not_move_the_optimum(name, functional):
+    # White noise has no correlations, so S scales by v at every setting: the
+    # same seeds, paths and settings, and the value times v.
+    full = optimize(StateTensor(NAMED_STATES[name](), 1.0), functional)
+    for visibility in (0.3, 0.8, 0.878321, 0.999999):
+        noisy = optimize(StateTensor(NAMED_STATES[name](), visibility), functional)
+        assert noisy.best_value == pytest.approx(visibility * full.best_value, rel=1e-12)
+        assert settings_distance(noisy.best_settings, full.best_settings) <= 1e-9
+
+
+@pytest.mark.parametrize("functional", list(Functional))
+@pytest.mark.parametrize("name", list(NAMED_STATES))
+def test_grid_seeds_rank_ties_in_grid_order(monkeypatch, name, functional):
+    # Scores equal to 9 decimals tie, and the smaller grid index goes first:
+    # W Mermin and ghz-rl have ties at the top, ghz-rl Svetlichny more than 10.
+    state = NAMED_STATES[name]()
+    config = OptimizationConfig()
+    seeds = []
+
+    def recording(form, x0, *args):
+        seeds.append(x0)
+        return _ascend(form, x0, *args)
+
+    monkeypatch.setattr(optimizer, "_ascend", recording)
+    optimize(state, functional, config)
+    n = config.grid_cells
+    cells = np.rint(seeds[0][:, :2] / config.grid_step).astype(int) % n
+    kept = cells[:, 0] * n + cells[:, 1]
+    grid = np.arange(n) * 2.0 * math.pi / n
+    rank = -np.round(_grid_scores(_trilinear_form(state, functional), grid), 9)
+    order = sorted(range(n * n), key=lambda k: (rank[k], k))
+    assert kept.tolist() == order[:10]
 
 
 def _form_values(form, x) -> np.ndarray:
