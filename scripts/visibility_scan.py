@@ -7,10 +7,10 @@ import numpy as np
 
 from tribell import (
     Functional,
+    StateTensor,
     correlation_tensor,
     critical_visibility,
     make_w,
-    mix_with_white_noise,
     pure_to_density,
     svetlichny_value,
     symmetric_pairs,
@@ -22,7 +22,7 @@ if __name__ == "__main__":
     rho = pure_to_density(make_w())
     print("visibility   |S_V|      violates hybrid bound 4")
     for v in np.linspace(0.0, 1.0, 21):
-        value = abs(svetlichny_value(correlation_tensor(mix_with_white_noise(rho, v), PAIRS)))
+        value = abs(svetlichny_value(correlation_tensor(StateTensor(rho, v), PAIRS)))
         print(f"  {v:6.3f}    {value:8.5f}   {'yes' if value > 4.0 else 'no'}")
     v_star = critical_visibility(rho, PAIRS, Functional.SVETLICHNY)
     print(f"\ncritical visibility v* = {v_star:.6f}  (4/4.354 = {4.0 / 4.354:.6f})")

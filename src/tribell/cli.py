@@ -144,11 +144,11 @@ def _evaluate_manifest_row(row: dict, states: dict) -> float:
 def run_reproduction() -> list[dict]:
     """Evaluate every manifest row; each gets value, expected, and a pass flag.
 
-    Each state the manifest names is built and validated once per call.
+    Each state the manifest names becomes one StateTensor, built once per call.
     """
     manifest = load_reproduce_manifest()
     names = {row["params"]["state"] for row in manifest if "state" in row["params"]}
-    states = {name: _load_state(name) for name in names}
+    states = {name: StateTensor(_load_state(name)) for name in names}
     results = []
     for row in manifest:
         value = _evaluate_manifest_row(row, states)

@@ -124,6 +124,14 @@ class CorrelationTensor:
         return [["i", "j", "k", "E"], *([*ijk, e] for ijk, e in zip(SETTING_CHOICES, values))]
 
 
+def party_pairs(pairs) -> tuple:
+    """pairs as a tuple, or ValueError unless it holds one SettingsPair per party."""
+    pairs = tuple(pairs)
+    if len(pairs) != 3:
+        raise ValueError(f"expected one SettingsPair per party, got {len(pairs)}")
+    return pairs
+
+
 def correlation_tensor(
     state: PureState | DensityMatrix | StateTensor, pairs
 ) -> CorrelationTensor:
@@ -133,12 +141,9 @@ def correlation_tensor(
     Z/X block of the state's coefficient tensor, so the state is read once
     per tensor.
     """
-    pairs = tuple(pairs)
-    if len(pairs) != 3:
-        raise ValueError(f"expected one SettingsPair per party, got {len(pairs)}")
     weights = [
         np.array([analyzer_weights(pair.phi), analyzer_weights(pair.phi_prime)])
-        for pair in pairs
+        for pair in party_pairs(pairs)
     ]
     coeffs = pauli_coefficients(state)[1:, 1:, 1:]
     values = np.einsum("iu,jv,kw,uvw->ijk", *weights, coeffs)

@@ -24,7 +24,7 @@ import numpy as np
 from .inequalities import SIGN_TENSOR, Functional, SettingsPair
 from .polarimetry import TWO_PI, StateTensor, pauli_coefficients, wrap_phase
 from .qstate import DensityMatrix, PureState
-from .shots import check_seed
+from .shots import check_integer, check_seed
 
 _TOP_SEEDS = 10
 #: Grid scores are ranked rounded to this many decimals, so that equal scores
@@ -69,10 +69,9 @@ class OptimizationConfig:
             )
         if not (math.isfinite(self.refine_tolerance) and self.refine_tolerance > 0.0):
             raise ValueError(f"refine_tolerance must be positive, got {self.refine_tolerance}")
-        if not 1 <= self.max_refine_iterations <= MAX_REFINE_ITERATIONS:
-            raise ValueError(f"max_refine_iterations must lie in [1, {MAX_REFINE_ITERATIONS}]")
-        if not 0 <= self.random_restarts <= MAX_RANDOM_RESTARTS:
-            raise ValueError(f"random_restarts must lie in [0, {MAX_RANDOM_RESTARTS}]")
+        check_integer(self.max_refine_iterations, "max_refine_iterations", 1,
+                      MAX_REFINE_ITERATIONS)
+        check_integer(self.random_restarts, "random_restarts", 0, MAX_RANDOM_RESTARTS)
         check_seed(self.seed)
 
     @property

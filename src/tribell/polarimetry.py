@@ -10,11 +10,10 @@ Both the observable and its port projectors (I +- sigma(phi))/2 are
 combinations of I, Z and X, so a state enters every correlation and outcome
 probability only through its 27 coefficients Re tr(rho P_u x P_v x P_w),
 P in (I, Z, X) (pauli_coefficients).  Each Born-rule number is that tensor
-contracted with one weight row per party.  The tensor is computed once per
-state instance, PureState or DensityMatrix, and held read-only for as long as
-that instance lives, so every later correlation or distribution of the same
-state is only the contraction.  The cache holds no state alive and is safe
-for concurrent use.
+contracted with one weight row per party.  A StateTensor holds the tensor
+read-only, so every correlation or distribution it feeds is only the
+contraction; a PureState or DensityMatrix passed in its place is expanded
+afresh on each call.
 
 White noise acts on the tensor alone.  The identity's only nonzero
 coefficient is T[0, 0, 0], so v*rho + (1-v)*identity/8 has the tensor v*T with
@@ -27,7 +26,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import weakref
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -99,10 +97,6 @@ def _port_weights(phi: float) -> np.ndarray:
     return 0.5 * np.array([[1.0, g[0], g[1]], [1.0, -g[0], -g[1]]])
 
 
-#: Each live state's read-only coefficient tensor, dropped with the state.
-_COEFFICIENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _izx_expansion(state: PureState | DensityMatrix) -> np.ndarray:
     """The coefficient tensor of a state, computed afresh and marked read-only."""
     entries = as_density(state).entries.reshape((2,) * 6)
@@ -120,21 +114,13 @@ def pauli_coefficients(state: PureState | DensityMatrix | StateTensor) -> np.nda
     g = analyzer_weights; the full tensor contracted with _port_weights gives
     every outcome probability.
 
-    The first call for a state instance, PureState or DensityMatrix, computes
-    T; later calls for the same instance return that same read-only array.  A
-    StateTensor returns its values.
+    A StateTensor returns the read-only values it holds; a PureState or
+    DensityMatrix gets a fresh read-only T on every call, so a caller that
+    needs T more than once builds one StateTensor.
     """
     if isinstance(state, StateTensor):
         return state.values
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise ValueError(
-            f"expected PureState or DensityMatrix, got {type(state).__name__}"
-        )
-    coeffs = _COEFFICIENTS.get(state)
-    if coeffs is None:
-        # setdefault keeps the first array stored if two threads race here.
-        coeffs = _COEFFICIENTS.setdefault(state, _izx_expansion(state))
-    return coeffs
+    return _izx_expansion(state)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,6 +29,7 @@ from .inequalities import (
     classify,
     correlation_tensor,
     functional_value,
+    party_pairs,
 )
 from .polarimetry import OUTCOME_LABELS, OUTCOME_SIGNS, StateTensor, outcome_distribution
 from .qstate import DensityMatrix, PureState
@@ -41,17 +42,25 @@ MAX_SHOTS_PER_SETTING = 2**63 - 1
 MAX_SEED = 2**64 - 1
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Reject a seed that is not an integer in [0, 2**64 - 1]; the error calls it `name`.
+def check_integer(value, name: str, low: int, high: int, high_text: str = "") -> int:
+    """value as an int; ValueError, naming it `name`, unless it is an integer in [low, high].
 
-    Python and numpy integers pass.  A float such as 1.5 or 1.0 does not.
+    Python and numpy integers pass; a bool or a float such as 1.0 does not.
     """
     try:
-        operator.index(seed)
+        index = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {seed!r}") from None
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"{name} must lie in [0, 2**64 - 1], got {seed}")
+        index = None
+    if index is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= index <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high_text or high}], got {index}")
+    return index
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Reject a seed that is not an integer in [0, 2**64 - 1]; the error calls it `name`."""
+    check_integer(seed, name, 0, MAX_SEED, "2**64 - 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +77,8 @@ class CountTable:
         counts = np.array(self.counts, dtype=np.int64).reshape(2, 2, 2, 8)
         if counts.min() < 0:
             raise ValueError("outcome counts must be nonnegative")
-        n = int(self.n_shots_per_setting)
-        if n < 1:
-            raise ValueError(f"n_shots_per_setting must be at least 1, got {n}")
+        n = check_integer(self.n_shots_per_setting, "n_shots_per_setting", 1,
+                          MAX_SHOTS_PER_SETTING, "2**63 - 1")
         sums = counts.sum(axis=-1)
         if not (sums == n).all():
             raise ValueError("each setting choice must hold exactly n_shots counts")
@@ -105,11 +113,10 @@ def sample_counts(
     state: PureState | DensityMatrix | StateTensor, pairs, n_shots: int, seed: int
 ) -> CountTable:
     """Draw n_shots outcome triples per setting choice from the Born rule."""
-    n_shots = int(n_shots)
-    if not 1 <= n_shots <= MAX_SHOTS_PER_SETTING:
-        raise ValueError(f"n_shots must lie in [1, 2**63 - 1], got {n_shots}")
+    n_shots = check_integer(n_shots, "n_shots", 1, MAX_SHOTS_PER_SETTING, "2**63 - 1")
     check_seed(seed)
-    pairs = tuple(pairs)
+    pairs = party_pairs(pairs)
+    state = StateTensor(state)  # one expansion read by all eight setting choices
     counts = np.zeros((8, 8), dtype=np.int64)
     # One generator serves every setting: re-keying it to (seed, index) with a
     # fresh counter and buffer puts it in the state _setting_stream(seed, index)

@@ -17,6 +17,7 @@ from tribell import (
     CorrelationTensor,
     CountTable,
     Functional,
+    OptimizationConfig,
     SettingsPair,
     correlation_tensor,
     critical_visibility,
@@ -32,6 +33,7 @@ from tribell import (
     sample_counts,
     symmetric_pairs,
 )
+from tribell import polarimetry
 from tribell.inequalities import SETTING_KEYS
 from tribell.polarimetry import OUTCOME_LABELS
 from tribell.shots import MAX_SHOTS_PER_SETTING, _setting_stream
@@ -117,6 +119,44 @@ def test_seed_outside_uint64_is_rejected():
     top = sample_counts(make_w(), COMMENT_PAIRS, 1000, seed=2**64 - 1)
     bottom = sample_counts(make_w(), COMMENT_PAIRS, 1000, seed=0)
     assert not np.array_equal(top.counts, bottom.counts)
+
+
+def test_library_sampling_expands_the_state_once(monkeypatch):
+    # Eight setting choices read one StateTensor, not eight expansions.
+    expand = polarimetry._izx_expansion
+    calls = []
+
+    def counting_expand(state):
+        calls.append(state)
+        return expand(state)
+
+    monkeypatch.setattr(polarimetry, "_izx_expansion", counting_expand)
+    sample_counts(make_w(), OPTIMAL_PAIRS, 100, seed=1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_sampling_needs_one_pair_per_party(count):
+    pairs = [SettingsPair(0.0, 1.0)] * count
+    with pytest.raises(ValueError, match=f"expected one SettingsPair per party, got {count}"):
+        sample_counts(make_w(), pairs, 10, seed=1)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0), True, "3", None])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda value: OptimizationConfig(max_refine_iterations=value),
+        lambda value: OptimizationConfig(random_restarts=value),
+        lambda value: sample_counts(make_w(), COMMENT_PAIRS, value, seed=1),
+        lambda value: CountTable(np.zeros((2, 2, 2, 8)), value),
+    ],
+    ids=["max_refine_iterations", "random_restarts", "n_shots", "n_shots_per_setting"],
+)
+def test_integer_fields_reject_non_integers(build, value):
+    # A float is refused, not truncated: a cap of 1.5 sweeps would never fire.
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        build(value)
 
 
 def test_seed_must_be_an_integer():
