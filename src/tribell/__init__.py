@@ -38,8 +38,6 @@ from .optimizer import (
 from .polarimetry import (
     OutcomeDistribution,
     StateTensor,
-    analyzer_observable,
-    analyzer_projectors,
     correlation,
     correlation_from_distribution,
     outcome_distribution,

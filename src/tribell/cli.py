@@ -12,6 +12,7 @@ import math
 import sys
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 from . import lhv, optimizer, shots
 from .inequalities import (
@@ -113,9 +114,11 @@ def _scenario_degenerate(pairs) -> bool:
     return any(pair.is_degenerate for pair in pairs)
 
 
-def load_reproduce_manifest() -> list[dict]:
+@functools.cache
+def load_reproduce_manifest() -> tuple:
+    """The packaged manifest's rows, parsed once per process into read-only mappings."""
     text = resources.files("tribell").joinpath("data/reproduce_manifest.json").read_text()
-    return json.loads(text)["rows"]
+    return tuple(json.loads(text, object_hook=MappingProxyType)["rows"])
 
 
 def _row_state_and_pairs(params: dict, states: dict):

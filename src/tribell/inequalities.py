@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polarimetry import StateTensor, analyzer_weights, pauli_coefficients, wrap_phase
+from .polarimetry import StateTensor, _born, analyzer_weights, wrap_phase
 from .qstate import DensityMatrix, PureState
 
 ENTRY_ATOL = 1e-10
@@ -137,17 +137,13 @@ def correlation_tensor(
 ) -> CorrelationTensor:
     """Evaluate all eight correlations for a two-settings-per-party scenario.
 
-    Each party's two observables are (Z, X)-weight rows contracted with the
-    Z/X block of the state's coefficient tensor, so the state is read once
-    per tensor.
+    Each party's two observables are (I, Z, X) weight rows (0, g) contracted
+    with the state's coefficient tensor, so the state is read once per tensor.
     """
-    weights = [
-        np.array([analyzer_weights(pair.phi), analyzer_weights(pair.phi_prime)])
-        for pair in party_pairs(pairs)
-    ]
-    coeffs = pauli_coefficients(state)[1:, 1:, 1:]
-    values = np.einsum("iu,jv,kw,uvw->ijk", *weights, coeffs)
-    return CorrelationTensor(values)
+    phases = [wrap_phase(phi) for p in party_pairs(pairs) for phi in (p.phi, p.phi_prime)]
+    weights = np.zeros((3, 2, 3))  # party, setting, (I, Z, X)
+    weights[:, :, 1:] = analyzer_weights(phases).reshape(3, 2, 2)
+    return CorrelationTensor(_born(state, weights))
 
 
 def mermin_value(tensor: CorrelationTensor) -> float:

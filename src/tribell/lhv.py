@@ -216,10 +216,15 @@ def lhv_max(functional: Functional, model: ModelClass) -> LhvMaxResult:
     negates every tensor entry, so the signed maximum equals the maximum of
     the absolute value and the witness always attains max_value exactly.
     Ties keep the first strategy in enumeration order (np.argmax returns the
-    first maximal row), and only the winning strategy is built.
+    first maximal row), and only the winning strategy is built.  The frozen
+    result is computed once per (functional, model) pair and kept for the
+    life of the process.
     """
-    functional = Functional(functional)
-    model = ModelClass(model)
+    return _lhv_max(Functional(functional), ModelClass(model))
+
+
+@functools.cache
+def _lhv_max(functional: Functional, model: ModelClass) -> LhvMaxResult:
     scores = strategy_matrix(model) @ SIGN_TENSOR[functional].reshape(8)
     best = int(np.argmax(scores))
     return LhvMaxResult(functional, model, float(scores[best]), _strategy_at(model, best))

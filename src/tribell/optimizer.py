@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import SIGN_TENSOR, Functional, SettingsPair
-from .polarimetry import TWO_PI, StateTensor, pauli_coefficients, wrap_phase
+from .polarimetry import TWO_PI, StateTensor, analyzer_weights, pauli_coefficients, wrap_phase
 from .qstate import DensityMatrix, PureState
 from .shots import check_integer, check_seed
 
@@ -99,12 +99,6 @@ class OptimizationResult:
         }
 
 
-def _phase_weights(phases) -> np.ndarray:
-    """(Z, X) weights (cos phi, -sin phi) of each phase, on a new last axis."""
-    phases = np.asarray(phases, dtype=float)
-    return np.stack((np.cos(phases), -np.sin(phases)), axis=-1)
-
-
 def _trilinear_form(state: PureState | DensityMatrix | StateTensor, functional: Functional):
     """K[(i, u), (j, v), (k, w)] = c[i, j, k] T[u, v, w] as a 4x4x4 array.
 
@@ -145,7 +139,7 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
     blocks = [np.moveaxis(form, p, -1).reshape(16, 4) for p in range(3)]
     # The rows still ascending: their indices, phases, weights and signs of S.
     xs = np.array(x0, dtype=float).reshape(-1, 6)
-    gs = _phase_weights(xs).reshape(-1, 3, 4)
+    gs = analyzer_weights(xs).reshape(-1, 3, 4)
     rows = np.arange(len(xs))
     signs = np.where(_values(blocks, gs) >= 0.0, 1.0, -1.0)[:, None]
     x, g, sweeps = np.empty_like(xs), np.empty_like(gs), np.zeros(len(xs), dtype=int)
@@ -160,7 +154,7 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
                 zero = ~field.any(axis=-1)
                 phi[zero] = xs[:, 2 * party : 2 * party + 2][zero]
             xs[:, 2 * party : 2 * party + 2] = phi
-            gs[:, party] = _phase_weights(phi).reshape(-1, 4)
+            gs[:, party] = analyzer_weights(phi).reshape(-1, 4)
         # Each phase moves once per sweep, so its move is its change over the sweep.
         moved = circular_distance(xs, start).max(axis=1)
         done = (moved <= tolerance) | (sweep == max_sweeps)
@@ -169,7 +163,7 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
             rows, xs, gs, signs = rows[~done], xs[~done], gs[~done], signs[~done]
         if sweep >= 2 and rows.size:
             xs = _newton_step(blocks, xs, gs, signs)
-            gs = _phase_weights(xs).reshape(-1, 3, 4)
+            gs = analyzer_weights(xs).reshape(-1, 3, 4)
     return x, np.abs(_values(blocks, g)), sweeps
 
 
@@ -223,7 +217,7 @@ def _newton_step(blocks, x: np.ndarray, g: np.ndarray, signs: np.ndarray) -> np.
     # Scored by _values like the trials, so both sides of the test round alike.
     value = signs[:, 0] * _values(blocks, g)
     trials = x[:, None, :] + _BACKTRACK_SCALES[None, :, None] * step[:, None, :]
-    trial_g = _phase_weights(trials).reshape(-1, 3, 4)
+    trial_g = analyzer_weights(trials).reshape(-1, 3, 4)
     trial_values = signs * _values(blocks, trial_g).reshape(m, -1)
     ok = trial_values >= (value - _VALUE_SLACK * np.abs(value))[:, None]
     chosen = _wrap(trials[np.arange(m), ok.argmax(axis=1)])
@@ -251,7 +245,7 @@ def _grid_scores(form: np.ndarray, grid: np.ndarray) -> np.ndarray:
     outer cubes m_i of f_i and m'_j of f'_j.  The n x n table of S is then one
     (n, 64) @ (64, n) product, (M * K) M'^T.
     """
-    g = _phase_weights(grid)
+    g = analyzer_weights(grid)
     ones = np.ones_like(g)
     cubes = [
         (f[:, :, None, None] * f[:, None, :, None] * f[:, None, None, :]).reshape(-1, 64)

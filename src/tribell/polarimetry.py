@@ -1,19 +1,19 @@
 """Polarization analyzers and Born-rule quantities.
 
-Each party measures the observable sigma(phi) = |phi+><phi+| - |phi-><phi-|
-built from the analyzer kets |phi+-> = (|R> +- e^{i phi}|L>)/sqrt(2).  The
-circular basis is fixed as |R> = (|H> - i|V>)/sqrt(2), |L> = (|H> + i|V>)/sqrt(2),
-under which sigma(phi) = cos(phi) Z - sin(phi) X in the H/V basis.  Outcome
-+1 means detection in the |phi+> port.
+Each party measures the observable sigma(phi) = cos(phi) Z - sin(phi) X in the
+H/V basis: |phi+-> = (|R> +- e^{i phi}|L>)/sqrt(2) with the circular basis
+|R> = (|H> - i|V>)/sqrt(2), |L> = (|H> + i|V>)/sqrt(2).  Outcome +1 means
+detection in the |phi+> port.
 
-Both the observable and its port projectors (I +- sigma(phi))/2 are
-combinations of I, Z and X, so a state enters every correlation and outcome
-probability only through its 27 coefficients Re tr(rho P_u x P_v x P_w),
-P in (I, Z, X) (pauli_coefficients).  Each Born-rule number is that tensor
-contracted with one weight row per party.  A StateTensor holds the tensor
-read-only, so every correlation or distribution it feeds is only the
-contraction; a PureState or DensityMatrix passed in its place is expanded
-afresh on each call.
+The analyzer is represented by its (Z, X) weights g = (cos(phi), -sin(phi))
+alone (analyzer_weights).  The observable is (0, g) in the (I, Z, X) basis
+and its port projectors (I +- sigma(phi))/2 are (1, +-g)/2, so a state enters
+every correlation and outcome probability only through its 27 coefficients
+Re tr(rho P_u x P_v x P_w), P in (I, Z, X) (pauli_coefficients).  Each
+Born-rule number is that tensor contracted with one (I, Z, X) weight row per
+party (_born).  A StateTensor holds the tensor read-only, so every
+correlation or distribution it feeds is only the contraction; a PureState or
+DensityMatrix passed in its place is expanded afresh on each call.
 
 White noise acts on the tensor alone.  The identity's only nonzero
 coefficient is T[0, 0, 0], so v*rho + (1-v)*identity/8 has the tensor v*T with
@@ -23,7 +23,6 @@ density matrix nor a second expansion.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import InitVar, dataclass, field
@@ -33,9 +32,6 @@ import numpy as np
 from .qstate import DensityMatrix, PureState, as_density
 
 TWO_PI = 2.0 * math.pi
-
-KET_R = np.array([1.0, -1.0j]) / math.sqrt(2.0)
-KET_L = np.array([1.0, 1.0j]) / math.sqrt(2.0)
 
 PROB_SUM_ATOL = 1e-10
 PROB_RANGE_ATOL = 1e-12
@@ -65,36 +61,27 @@ def wrap_phase(phi: float) -> float:
     return wrapped
 
 
-def analyzer_kets(phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The |phi+> and |phi-> analyzer kets in the H/V basis."""
-    phase = cmath.exp(1j * wrap_phase(phi))
-    plus = (KET_R + phase * KET_L) / math.sqrt(2.0)
-    minus = (KET_R - phase * KET_L) / math.sqrt(2.0)
-    return plus, minus
+def analyzer_weights(phases) -> np.ndarray:
+    """(Z, X) weights (cos(phi), -sin(phi)) of sigma(phi) per phase, on a new last axis.
+
+    Takes a phase or an array of phases, as given: callers wrap them first.
+    """
+    phases = np.asarray(phases, dtype=float)
+    weights = np.empty(phases.shape + (2,))
+    z, x = weights[..., 0], weights[..., 1]
+    np.cos(phases, out=z)
+    np.sin(phases, out=x)
+    np.negative(x, out=x)
+    return weights
 
 
-def analyzer_projectors(phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-1 projectors onto the +1 and -1 analyzer ports."""
-    plus, minus = analyzer_kets(phi)
-    return np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
+def _born(state: PureState | DensityMatrix | StateTensor, weights) -> np.ndarray:
+    """R[i, j, k] = sum W_a[i, u] W_b[j, v] W_c[k, w] T[u, v, w].
 
-
-def analyzer_observable(phi: float) -> np.ndarray:
-    """The +-1-valued analyzer observable, equal to cos(phi) Z - sin(phi) X."""
-    proj_plus, proj_minus = analyzer_projectors(phi)
-    return proj_plus - proj_minus
-
-
-def analyzer_weights(phi: float) -> np.ndarray:
-    """(Z, X) weights (cos(phi), -sin(phi)) of the analyzer observable sigma(phi)."""
-    phi = wrap_phase(phi)
-    return np.array([math.cos(phi), -math.sin(phi)])
-
-
-def _port_weights(phi: float) -> np.ndarray:
-    """(I, Z, X) weights of the +1 and -1 port projectors (I +- sigma(phi))/2."""
-    g = analyzer_weights(phi)
-    return 0.5 * np.array([[1.0, g[0], g[1]], [1.0, -g[0], -g[1]]])
+    weights holds one (n, 3) matrix of (I, Z, X) weight rows per party.
+    """
+    a, b, c = weights[0], weights[1], weights[2]  # faster than unpacking an array
+    return np.einsum("iu,jv,kw,uvw->ijk", a, b, c, pauli_coefficients(state))
 
 
 def _izx_expansion(state: PureState | DensityMatrix) -> np.ndarray:
@@ -111,8 +98,8 @@ def pauli_coefficients(state: PureState | DensityMatrix | StateTensor) -> np.nda
 
     T[0, 0, 0] = tr(rho) = 1.  The Z/X block T[1:, 1:, 1:] gives every
     correlation, E = sum T[1+u, 1+v, 1+w] g_a[u] g_b[v] g_c[w] with
-    g = analyzer_weights; the full tensor contracted with _port_weights gives
-    every outcome probability.
+    g = analyzer_weights; the full tensor contracted with the port rows
+    (1, +-g)/2 gives every outcome probability.
 
     A StateTensor returns the read-only values it holds; a PureState or
     DensityMatrix gets a fresh read-only T on every call, so a caller that
@@ -153,6 +140,8 @@ class OutcomeDistribution:
     """Born-rule probabilities over the eight +-1 outcome triples.
 
     probs[oa, ob, oc] uses port indices (0 for +1, 1 for -1) per party.
+    Entries within PROB_RANGE_ATOL outside [0, 1] are clipped into it, so no
+    reported probability is negative.
     """
 
     probs: np.ndarray
@@ -161,8 +150,11 @@ class OutcomeDistribution:
         probs = np.array(self.probs, dtype=float).reshape(2, 2, 2)
         if not np.isfinite(probs).all():
             raise ValueError("outcome probabilities must be finite, got NaN or inf")
-        if probs.min() < -PROB_RANGE_ATOL or probs.max() > 1.0 + PROB_RANGE_ATOL:
+        low, high = probs.min(), probs.max()
+        if low < -PROB_RANGE_ATOL or high > 1.0 + PROB_RANGE_ATOL:
             raise ValueError("outcome probabilities outside [0, 1]")
+        if low < 0.0 or high > 1.0:  # an exact 0 can round to -3e-17
+            probs.clip(0.0, 1.0, out=probs)
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_SUM_ATOL:
             raise ValueError(f"outcome probabilities sum to {total}, expected 1")
@@ -184,9 +176,12 @@ def outcome_distribution(
     phis = tuple(float(p) for p in settings)
     if len(phis) != 3:
         raise ValueError(f"expected 3 analyzer settings, got {len(phis)}")
-    weights = [_port_weights(phi) for phi in phis]
-    probs = np.einsum("iu,jv,kw,uvw->ijk", *weights, pauli_coefficients(state))
-    return OutcomeDistribution(probs)
+    g = 0.5 * analyzer_weights([wrap_phase(phi) for phi in phis])
+    ports = np.empty((3, 2, 3))  # party, port, (I, Z, X)
+    ports[:, :, 0] = 0.5
+    ports[:, 0, 1:] = g
+    ports[:, 1, 1:] = -g
+    return OutcomeDistribution(_born(state, ports))
 
 
 def correlation(state: PureState | DensityMatrix | StateTensor, settings) -> float:
@@ -194,9 +189,12 @@ def correlation(state: PureState | DensityMatrix | StateTensor, settings) -> flo
     phis = tuple(float(p) for p in settings)
     if len(phis) != 3:
         raise ValueError(f"expected 3 analyzer settings, got {len(phis)}")
-    weights = [analyzer_weights(phi) for phi in phis]
+    g = analyzer_weights([wrap_phase(phi) for phi in phis])
+    # Its own Z/X einsum, not _born with one (0, g) row per party: einsum sums
+    # that in another order, moving about a third of a general state's values
+    # by one ulp.
     coeffs = pauli_coefficients(state)[1:, 1:, 1:]
-    return float(np.einsum("u,v,w,uvw->", *weights, coeffs))
+    return float(np.einsum("u,v,w,uvw->", g[0], g[1], g[2], coeffs))
 
 
 def correlation_from_distribution(dist: OutcomeDistribution) -> float:

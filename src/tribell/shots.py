@@ -125,7 +125,7 @@ def sample_counts(
     start = rng.bit_generator.state
     for index, (i, j, k) in enumerate(SETTING_CHOICES):
         phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
-        probs = np.clip(outcome_distribution(state, phis).probs.reshape(8), 0.0, None)
+        probs = outcome_distribution(state, phis).probs.reshape(8)
         start["state"]["key"][1] = index
         rng.bit_generator.state = start
         counts[index] = rng.multinomial(n_shots, probs / probs.sum())

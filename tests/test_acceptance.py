@@ -11,13 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_angles, random_density, random_pure
+from helpers import analyzer_observable, random_angles, random_density, random_pure
 from tribell import (
     Classification,
     CorrelationTensor,
     Functional,
     ModelClass,
-    analyzer_observable,
     classify,
     correlation,
     correlation_from_distribution,

@@ -24,6 +24,17 @@ def test_reproduce_passes_and_exits_zero(capsys):
     assert "8/8 checks passed" in out
 
 
+def test_reproduce_manifest_is_parsed_once_and_read_only():
+    rows = cli.load_reproduce_manifest()
+    assert cli.load_reproduce_manifest() is rows
+    assert isinstance(rows, tuple) and len(rows) == 8
+    with pytest.raises(TypeError):
+        rows[0]["expected"] = 0.0
+    with pytest.raises(TypeError):
+        rows[0]["params"]["state"] = "ghz-hv"
+    assert [row["id"] for row in cli.run_reproduction()] == [row["id"] for row in rows]
+
+
 def test_reproduce_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--format", "json")
     assert code == 0

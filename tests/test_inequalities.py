@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_angles, random_density, random_pure
+from helpers import analyzer_observable, random_angles, random_density, random_pure
 from tribell import (
     Classification,
     CorrelationTensor,
     Functional,
     SettingsPair,
-    analyzer_observable,
     classify,
     correlation_tensor,
     make_ghz,

@@ -1,5 +1,6 @@
 """Tests for hidden-variable strategy enumeration and exact model bounds."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -169,3 +170,18 @@ def test_local_mermin_bound_invariant_under_relabelings():
                 for values in tensors
             )
             assert best == 2.0
+
+
+def test_lhv_max_is_computed_once_per_functional_and_model():
+    from tribell.lhv import _lhv_max
+
+    first = {(f, m): lhv_max(f, m) for f in Functional for m in ModelClass}
+    for (functional, model), result in first.items():
+        assert lhv_max(functional.value, model.value) is result
+        assert lhv_max(functional, model) is result
+    assert _lhv_max.cache_info().currsize == 4
+    result = first[Functional.SVETLICHNY, ModelClass.HYBRID]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.max_value = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.witness.solo_outputs = (1, 1)

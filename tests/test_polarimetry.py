@@ -6,15 +6,19 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import random_angles, random_density, random_pure
+from helpers import (
+    analyzer_observable,
+    analyzer_projectors,
+    random_angles,
+    random_density,
+    random_pure,
+)
 from tribell import (
     PureState,
     StateTensor,
-    analyzer_observable,
-    analyzer_projectors,
     as_density,
     correlation,
     correlation_from_distribution,
@@ -32,6 +36,7 @@ from tribell.polarimetry import (
     OUTCOME_LABELS,
     TWO_PI,
     OutcomeDistribution,
+    analyzer_weights,
     pauli_coefficients,
 )
 
@@ -75,6 +80,20 @@ def test_projectors_complete_orthogonal(phi):
     assert np.abs(plus - minus - analyzer_observable(phi)).max() < 1e-12
 
 
+@given(phases=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=6))
+@example(phases=[-7.5, 40.0])
+def test_analyzer_weights_are_the_kronecker_observables_z_and_x_parts(phases):
+    weights = analyzer_weights(np.array(phases))
+    assert weights.shape == (len(phases), 2)
+    for phi, (z, x) in zip(phases, weights):
+        obs = analyzer_observable(phi)
+        assert abs(z - 0.5 * np.trace(obs @ PAULI_Z).real) < 1e-12
+        assert abs(x - 0.5 * np.trace(obs @ PAULI_X).real) < 1e-12
+    column = analyzer_weights(np.array(phases)[:, None])
+    assert column.shape == (len(phases), 1, 2)
+    assert np.array_equal(column[:, 0], weights)
+
+
 def test_wrap_phase_canonicalizes():
     assert wrap_phase(0.0) == 0.0
     assert wrap_phase(TWO_PI) == 0.0
@@ -89,6 +108,7 @@ def test_w_distribution_at_hv_settings():
     assert dist.prob(1, 1, -1) == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert dist.prob(1, -1, 1) == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert dist.prob(1, 1, 1) == pytest.approx(0.0, abs=1e-12)
+    assert dist.prob(-1, -1, -1) == 0.0  # not the -2.8e-17 its contraction rounds to
 
 
 def test_maximally_mixed_distribution_is_uniform():
@@ -141,6 +161,38 @@ def test_distribution_simplex_and_consistency_on_random_states(seed):
     value = correlation(rho, phis)
     assert abs(value - correlation_from_distribution(dist)) < 1e-10
     assert abs(value) <= 1.0 + 1e-10
+
+
+#: W and both GHZ forms, whose distributions have exact zeros at H/V-aligned
+#: settings that rounding can push below 0.
+NAMED_STATES = (make_w(), make_ghz("linear_hv"), make_ghz("circular_rl"))
+grid_or_finite_phases = st.one_of(
+    st.integers(-24, 48).map(lambda k: math.radians(15.0 * k)), finite_phases
+)
+
+
+@given(
+    state=st.sampled_from(NAMED_STATES),
+    phis=st.lists(grid_or_finite_phases, min_size=3, max_size=3),
+)
+@example(state=NAMED_STATES[0], phis=[0.0, 0.0, 0.0])
+def test_outcome_probabilities_are_never_negative(state, phis):
+    probs = outcome_distribution(state, phis).probs
+    assert probs.min() >= 0.0
+    assert probs.max() <= 1.0
+    assert abs(probs.sum() - 1.0) <= 1e-10
+
+
+def test_outcome_distribution_clips_rounding_into_the_unit_interval():
+    probs = np.full((2, 2, 2), 1.0 / 6.0)
+    probs[0, 0, 0] = -1e-13
+    probs[1, 1, 1] = 0.0
+    dist = OutcomeDistribution(probs)
+    assert dist.probs[0, 0, 0] == 0.0
+    assert dist.probs.min() >= 0.0
+    probs[0, 0, 0] = -1e-9
+    with pytest.raises(ValueError, match="outside"):
+        OutcomeDistribution(probs)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
