@@ -31,8 +31,6 @@ from .lhv import (
 from .optimizer import (
     OptimizationConfig,
     OptimizationResult,
-    min_symmetry_distance,
-    objective_symmetries,
     optimize,
 )
 from .polarimetry import (

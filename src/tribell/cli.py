@@ -318,7 +318,7 @@ def cmd_correlations(args) -> int:
     return 0
 
 
-def _add_common(parser, state: bool = True):
+def _add_common(parser, state: bool = True, angles: bool = False):
     parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
     parser.add_argument("--output", help="write the report to this path instead of stdout")
     if state:
@@ -330,6 +330,7 @@ def _add_common(parser, state: bool = True):
             "--visibility", type=float, default=None,
             help="mix the state with white noise at this visibility before use",
         )
+    if angles:
         parser.add_argument(
             "--radians", action="store_true",
             help="interpret angle arguments as radians instead of degrees",
@@ -382,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lhv_scan)
 
     p = sub.add_parser("sample", help="simulate a finite-statistics correlation run")
-    _add_common(p)
+    _add_common(p, angles=True)
     p.add_argument("--pairs", required=True,
                    help="phi,phi' for all parties, or six per-party values")
     p.add_argument("--shots", type=int, required=True,
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("correlations", help="correlation values for explicit settings")
-    _add_common(p)
+    _add_common(p, angles=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--angles", help="one triple phi_a,phi_b,phi_c (or one shared value)")
     group.add_argument("--pairs", help="phi,phi' for all parties, or six per-party values")

@@ -14,10 +14,10 @@ from enum import Enum
 
 import numpy as np
 
-from .polarimetry import StateTensor, _born, analyzer_weights, wrap_phase
+from .polarimetry import (
+    _CORRELATION, StateTensor, _born, _in_range, analyzer_weights, wrap_phase,
+)
 from .qstate import DensityMatrix, PureState
-
-ENTRY_ATOL = 1e-10
 
 
 class Functional(str, Enum):
@@ -91,17 +91,13 @@ def symmetric_pairs(phi: float, phi_prime: float) -> tuple[SettingsPair, ...]:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationTensor:
-    """Eight correlation values E[i, j, k] indexed by setting choice per party."""
+    """Eight correlation values E[i, j, k] by setting choice per party, in [-1, 1]."""
 
     values: np.ndarray
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float).reshape(2, 2, 2)
-        if not np.isfinite(values).all():
-            raise ValueError("correlation entries must be finite, got NaN or inf")
-        largest = float(np.abs(values).max())
-        if largest > 1.0 + ENTRY_ATOL:
-            raise ValueError(f"correlation entry out of range: |E| = {largest}")
+        values = _in_range(values, _CORRELATION, "correlation entries")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

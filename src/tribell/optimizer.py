@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import SIGN_TENSOR, Functional, SettingsPair
-from .polarimetry import TWO_PI, StateTensor, analyzer_weights, pauli_coefficients, wrap_phase
+from .polarimetry import TWO_PI, StateTensor, analyzer_weights, pauli_coefficients
 from .qstate import DensityMatrix, PureState
 from .shots import check_integer, check_seed
 
@@ -311,51 +311,9 @@ def optimize(
     )
 
 
-def _wrap_settings(settings) -> tuple:
-    return tuple(
-        SettingsPair(wrap_phase(p.phi), wrap_phase(p.phi_prime)) for p in settings
-    )
-
-
-def objective_symmetries(settings) -> list:
-    """Equivalent settings under the transformations preserving both functionals.
-
-    For states with real H/V amplitudes (W, both GHZ forms) the correlations
-    are invariant under the global sign flip phi -> -phi of all six phases,
-    and trivially under per-party 2*pi shifts; equivalents are returned as
-    canonical representatives wrapped to [0, 2*pi).
-    """
-    settings = tuple(settings)
-    identity = _wrap_settings(settings)
-    flipped = _wrap_settings(
-        SettingsPair(-p.phi, -p.phi_prime) for p in settings
-    )
-    out = [identity]
-    if flipped != identity:
-        out.append(flipped)
-    return out
-
-
 def circular_distance(a, b):
     """Shortest angular distance between two phases, in radians.
 
     Takes floats or arrays of phases, elementwise with numpy broadcasting.
     """
     return abs((a - b + math.pi) % TWO_PI - math.pi)
-
-
-def settings_distance(settings_a, settings_b) -> float:
-    """Largest per-phase circular distance between two settings triples."""
-    dist = 0.0
-    for pa, pb in zip(tuple(settings_a), tuple(settings_b)):
-        dist = max(dist, circular_distance(pa.phi, pb.phi))
-        dist = max(dist, circular_distance(pa.phi_prime, pb.phi_prime))
-    return dist
-
-
-def min_symmetry_distance(settings, reference) -> float:
-    """settings_distance minimized over the symmetry orbit of `settings`."""
-    return min(
-        settings_distance(equivalent, reference)
-        for equivalent in objective_symmetries(settings)
-    )

@@ -29,12 +29,34 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .qstate import DensityMatrix, PureState, as_density
+from .qstate import (
+    EIGENVALUE_ATOL, HERMITIAN_ATOL, TRACE_ATOL, DensityMatrix, PureState, as_density,
+)
 
 TWO_PI = 2.0 * math.pi
 
 PROB_SUM_ATOL = 1e-10
-PROB_RANGE_ATOL = 1e-12
+
+# The slack of the range rule, from qstate's tolerances.  A Born-rule number
+# reads rho only through H = (rho + rho^dagger)/2, as Re tr(rho P) = tr(H P) for
+# Hermitian P.  eigvalsh reads rho's lower triangle, a Hermitian matrix within
+# HERMITIAN_ATOL/2 of H per off-diagonal entry, so within 7*HERMITIAN_ATOL/2 in
+# norm.  So each eigenvalue of H is >= -NEG, NEG = EIGENVALUE_ATOL +
+# 8*HERMITIAN_ATOL, at most seven are negative, and they sum to tr H <= 1 +
+# TRACE_ATOL.  A port probability <psi|H|psi>, psi a unit ket, lies between the
+# smallest eigenvalue, >= -NEG, and the largest, <= tr H + 7*NEG.  A correlation
+# tr(H O), O Hermitian with O^2 = 1, has |E| <= sum |lambda| <= tr H + 14*NEG.
+# A pure state enters as its validated projector, and white noise only narrows
+# both ranges.  _ROUNDING covers the few hundred ulp that the expansion, eigvalsh
+# and the 27-term contraction add.
+_NEG = EIGENVALUE_ATOL + 8.0 * HERMITIAN_ATOL
+_ROUNDING = 1e-12
+_CORRELATION_REACH = 1.0 + 14.0 * _NEG + TRACE_ATOL + _ROUNDING
+#: (low, high, floor, ceiling) per kind of Born-rule number: a value in
+#: [floor, ceiling] is reported clipped into [low, high], and one outside it
+#: comes from no accepted state (_in_range).
+_PROBABILITY = (0.0, 1.0, -_NEG - _ROUNDING, 1.0 + 7.0 * _NEG + TRACE_ATOL + _ROUNDING)
+_CORRELATION = (-1.0, 1.0, -_CORRELATION_REACH, _CORRELATION_REACH)
 
 #: I, Z and X stacked, the basis in which every analyzer operator is expanded.
 _PAULI_IZX = np.array(
@@ -48,6 +70,27 @@ OUTCOME_LABELS = tuple("".join(ports) for ports in itertools.product("+-", repea
 #: Product of the three outcome signs per port index triple (0 -> +1, 1 -> -1).
 OUTCOME_SIGNS = np.array([[[1.0, -1.0], [-1.0, 1.0]], [[-1.0, 1.0], [1.0, -1.0]]])
 OUTCOME_SIGNS.flags.writeable = False
+
+
+def _in_range(values, rule, what: str):
+    """values, a float or a new float array, clipped into the rule's [low, high].
+
+    Raises ValueError, naming the values `what`, if any is NaN or infinite or
+    lies outside [floor, ceiling], where no accepted state's number can.
+    """
+    low, high, floor, ceiling = rule
+    if isinstance(values, float):
+        smallest = largest = values
+    else:
+        smallest, largest = values.min(), values.max()
+    if not (floor <= smallest and largest <= ceiling):  # NaN fails here too
+        if not np.isfinite(values).all():
+            raise ValueError(f"{what} must be finite, got NaN or inf")
+        worst = smallest if low - smallest > largest - high else largest
+        raise ValueError(f"{what} outside [{low:g}, {high:g}]: {float(worst)}")
+    if smallest < low or largest > high:  # an exact 0 can round to -3e-17
+        return np.clip(values, low, high)
+    return values
 
 
 def wrap_phase(phi: float) -> float:
@@ -140,22 +183,16 @@ class OutcomeDistribution:
     """Born-rule probabilities over the eight +-1 outcome triples.
 
     probs[oa, ob, oc] uses port indices (0 for +1, 1 for -1) per party.
-    Entries within PROB_RANGE_ATOL outside [0, 1] are clipped into it, so no
-    reported probability is negative.
+    Entries are clipped into [0, 1] by _in_range, so no reported probability
+    is negative; their sum is checked before the clip.
     """
 
     probs: np.ndarray
 
     def __post_init__(self):
         probs = np.array(self.probs, dtype=float).reshape(2, 2, 2)
-        if not np.isfinite(probs).all():
-            raise ValueError("outcome probabilities must be finite, got NaN or inf")
-        low, high = probs.min(), probs.max()
-        if low < -PROB_RANGE_ATOL or high > 1.0 + PROB_RANGE_ATOL:
-            raise ValueError("outcome probabilities outside [0, 1]")
-        if low < 0.0 or high > 1.0:  # an exact 0 can round to -3e-17
-            probs.clip(0.0, 1.0, out=probs)
         total = float(probs.sum())
+        probs = _in_range(probs, _PROBABILITY, "outcome probabilities")
         if abs(total - 1.0) > PROB_SUM_ATOL:
             raise ValueError(f"outcome probabilities sum to {total}, expected 1")
         probs.flags.writeable = False
@@ -194,7 +231,8 @@ def correlation(state: PureState | DensityMatrix | StateTensor, settings) -> flo
     # that in another order, moving about a third of a general state's values
     # by one ulp.
     coeffs = pauli_coefficients(state)[1:, 1:, 1:]
-    return float(np.einsum("u,v,w,uvw->", g[0], g[1], g[2], coeffs))
+    value = np.einsum("u,v,w,uvw->", g[0], g[1], g[2], coeffs)
+    return float(_in_range(value, _CORRELATION, "correlation"))
 
 
 def correlation_from_distribution(dist: OutcomeDistribution) -> float:

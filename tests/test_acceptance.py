@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import analyzer_observable, random_angles, random_density, random_pure
+from helpers import (
+    analyzer_observable,
+    min_symmetry_distance,
+    random_angles,
+    random_density,
+    random_pure,
+)
 from tribell import (
     Classification,
     CorrelationTensor,
@@ -29,7 +35,6 @@ from tribell import (
     make_ghz,
     make_w,
     mermin_value,
-    min_symmetry_distance,
     mix_with_white_noise,
     mixture_tensor,
     optimize,

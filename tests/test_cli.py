@@ -289,6 +289,23 @@ def test_correlations_radians_flag(capsys):
     assert json.loads(out)["reports"]["svetlichny"]["value"] == pytest.approx(3.0, abs=1e-9)
 
 
+def test_optimize_has_no_radians_flag(capsys):
+    # optimize takes its one angle, --grid-step, in degrees only.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["optimize", "--state", "w", "--functional", "mermin", "--radians"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --radians" in capsys.readouterr().err
+
+
+def test_w_correlation_at_hv_settings_prints_minus_one(capsys):
+    # The contraction rounds this correlation to -1.0000000000000002.
+    code, out, _ = run_cli(
+        capsys, "correlations", "--state", "w", "--angles", "0", "--format", "json"
+    )
+    assert code == 0
+    assert '"correlation": -1.0,' in out
+
+
 def test_correlations_degenerate_pairs_flagged(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -14,6 +14,7 @@ from tribell import (
     CorrelationTensor,
     Functional,
     SettingsPair,
+    StateTensor,
     classify,
     correlation_tensor,
     make_ghz,
@@ -174,6 +175,16 @@ def test_classify_rejects_non_finite(bad):
 def test_report_degenerate_flag_passthrough():
     assert classify(1.0, Functional.MERMIN, degenerate=True).degenerate
     assert not classify(1.0, Functional.MERMIN).degenerate
+
+
+@pytest.mark.parametrize("state", [make_w(), make_ghz("circular_rl")], ids=["w", "ghz-rl"])
+def test_tensor_entries_on_the_15_degree_grid_stay_in_the_unit_range(state):
+    # Unclipped, rounding puts 92 (W) and 12 (ghz-rl) of these tensors past [-1, 1].
+    tensor = StateTensor(state)
+    grid = [math.radians(15.0 * k) for k in range(24)]
+    for phi, phi_prime in itertools.product(grid, repeat=2):
+        values = correlation_tensor(tensor, symmetric_pairs(phi, phi_prime)).values
+        assert np.abs(values).max() <= 1.0
 
 
 def test_tensor_rejects_out_of_range_entries():

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_angles, random_density, random_pure
+from helpers import (
+    min_symmetry_distance,
+    objective_symmetries,
+    random_angles,
+    random_density,
+    random_pure,
+    settings_distance,
+)
 from tribell import (
     Functional,
     OptimizationConfig,
@@ -21,8 +28,6 @@ from tribell import (
     make_ghz,
     make_w,
     maximally_mixed,
-    min_symmetry_distance,
-    objective_symmetries,
     optimize,
     symmetric_pairs,
 )
@@ -36,7 +41,6 @@ from tribell.optimizer import (
     _newton_step,
     _trilinear_form,
     circular_distance,
-    settings_distance,
 )
 
 QUOTED_OPTIMUM = symmetric_pairs(math.radians(35.264), math.radians(144.736))
@@ -453,6 +457,22 @@ def test_objective_symmetries_contains_identity_and_flip():
 def test_objective_symmetries_fixed_point():
     zero = symmetric_pairs(0.0, 0.0)
     assert objective_symmetries(zero) == [zero]
+
+
+@pytest.mark.parametrize("name", list(NAMED_STATES))
+@given(seed=st.integers(0, 2**32 - 1))
+def test_flip_keeps_both_functionals_of_named_states(name, seed):
+    # The flip is conjugation by Z x Z x Z: it keeps or negates every
+    # correlation of W and both GHZ forms, though not of states in general.
+    rng = np.random.default_rng(seed)
+    x = random_angles(rng, 6)
+    pairs = tuple(SettingsPair(x[2 * p], x[2 * p + 1]) for p in range(3))
+    flipped = objective_symmetries(pairs)[-1]
+    state = StateTensor(NAMED_STATES[name]())
+    for functional in Functional:
+        value = abs(functional_value(correlation_tensor(state, pairs), functional))
+        image = abs(functional_value(correlation_tensor(state, flipped), functional))
+        assert abs(value - image) <= 1e-12
 
 
 def test_circular_distance_wraps():

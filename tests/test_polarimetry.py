@@ -17,11 +17,14 @@ from helpers import (
     random_pure,
 )
 from tribell import (
+    DensityMatrix,
     PureState,
+    SettingsPair,
     StateTensor,
     as_density,
     correlation,
     correlation_from_distribution,
+    correlation_tensor,
     make_ghz,
     make_w,
     maximally_mixed,
@@ -39,6 +42,7 @@ from tribell.polarimetry import (
     analyzer_weights,
     pauli_coefficients,
 )
+from tribell.qstate import EIGENVALUE_ATOL, HERMITIAN_ATOL
 
 PAULI_Z = np.diag([1.0, -1.0])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -181,6 +185,60 @@ def test_outcome_probabilities_are_never_negative(state, phis):
     assert probs.min() >= 0.0
     assert probs.max() <= 1.0
     assert abs(probs.sum() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("state", [make_w(), make_ghz("circular_rl")], ids=["w", "ghz-rl"])
+def test_correlations_on_the_15_degree_grid_stay_in_the_unit_range(state):
+    # Unclipped, rounding puts 8 (W) and 57 (ghz-rl) of these triples 2.2e-16 past 1.
+    tensor = StateTensor(state)
+    grid = [math.radians(15.0 * k) for k in range(24)]
+    values = [correlation(tensor, phis) for phis in itertools.product(grid, repeat=3)]
+    assert min(values) >= -1.0
+    assert max(values) <= 1.0
+
+
+def _edge_density(rng, rotated: bool, skewed: bool) -> DensityMatrix:
+    """An accepted state whose smallest eigenvalues reach -EIGENVALUE_ATOL.
+
+    1 to 7 eigenvalues sit at the tolerance, exactly for a diagonal state and
+    within rounding of it for one rotated by a random unitary.  A skewed state
+    also has its upper triangle, which eigvalsh does not read, moved by just
+    under HERMITIAN_ATOL, so that its Hermitian part reaches further still.
+    """
+    negative = int(rng.integers(1, 8))
+    reach = EIGENVALUE_ATOL * (1.0 - 1e-4 if rotated else 1.0)
+    lam = np.zeros(8)
+    lam[:negative] = -reach
+    lam[negative:] = rng.dirichlet(np.ones(8 - negative)) * (1.0 + negative * reach)
+    rng.shuffle(lam)
+    rho = np.diag(lam).astype(complex)
+    if rotated:
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        rho = (q * lam) @ q.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+    if skewed:
+        rho += np.triu(np.full((8, 8), -0.999 * HERMITIAN_ATOL), 1)
+    return DensityMatrix(rho)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rotated=st.booleans(),
+    skewed=st.booleans(),
+    axis_phases=st.booleans(),
+)
+@example(seed=0, rotated=False, skewed=False, axis_phases=True)
+@example(seed=0, rotated=True, skewed=True, axis_phases=True)
+def test_states_at_the_tolerances_give_every_born_number(seed, rotated, skewed, axis_phases):
+    rng = np.random.default_rng(seed)
+    rho = _edge_density(rng, rotated, skewed)
+    x = rng.integers(0, 4, 6) * (math.pi / 2.0) if axis_phases else random_angles(rng, 6)
+    pairs = tuple(SettingsPair(x[2 * p], x[2 * p + 1]) for p in range(3))
+    probs = outcome_distribution(rho, x[::2]).probs
+    assert probs.min() >= 0.0 and probs.max() <= 1.0
+    assert abs(correlation(rho, x[::2])) <= 1.0
+    assert np.abs(correlation_tensor(rho, pairs).values).max() <= 1.0
+    assert sample_counts(rho, pairs, 10, seed=0).counts.sum() == 80
 
 
 def test_outcome_distribution_clips_rounding_into_the_unit_interval():
