@@ -199,8 +199,6 @@ def cmd_optimize(args) -> int:
     state = _prepare_state(args)
     config = optimizer.OptimizationConfig(
         grid_step=math.radians(args.grid_step),
-        refine_tolerance=args.tolerance,
-        max_refine_iterations=args.max_iterations,
         seed=args.seed,
         random_restarts=args.restarts,
     )
@@ -212,14 +210,8 @@ def cmd_optimize(args) -> int:
         {"functional": functional.value, "state": args.state,
          "report": report.to_jsonable()}
     )
-
-    def trace_rows():
-        return [["iteration", "value"], *payload["trace"]]
-
-    if args.trace_csv:
-        Path(args.trace_csv).write_text(render_csv(trace_rows()))
     symbol = "M" if functional is Functional.MERMIN else "V"
-    _emit(args, payload, trace_rows, lambda: [
+    _emit(args, payload, lambda: [["iteration", "value"], *payload["trace"]], lambda: [
         f"max |S_{symbol}| = {result.best_value:.9f}  ({report.classification.value})",
         *(f"  party {name}: phi = {phi:10.5f} deg, phi' = {phi_prime:10.5f} deg"
           for name, (phi, phi_prime) in zip("abc", payload["settings_degrees"])),
@@ -360,20 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", type=float, default=15.0,
                    help="step in degrees of the symmetric seed grid, phi and phi' equal "
                         "across parties; must divide 360, at least 0.5 (default 15)")
-    p.add_argument("--tolerance", type=float, default=1e-8,
-                   help="ascent stops when no phase moves more than this many radians "
-                        "in a sweep over parties a, b, c; values this close to the "
-                        "maximum tie (default 1e-8)")
-    p.add_argument("--max-iterations", type=int, default=2000,
-                   help="most ascent iterations per start, each a sweep over parties "
-                        "a, b, c plus at most one Newton step, "
-                        f"at most {optimizer.MAX_REFINE_ITERATIONS} (default 2000)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random restarts, in [0, 2**64 - 1] (default 0)")
     p.add_argument("--restarts", type=int, default=0,
                    help="extra random ascent starts beyond the grid seeds, "
                         f"at most {optimizer.MAX_RANDOM_RESTARTS} (default 0)")
-    p.add_argument("--trace-csv", help="also write the improvement trace to this CSV path")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("lhv-scan", help="exact hidden-variable model bounds by enumeration")

@@ -11,7 +11,7 @@ coupled, so each sweep after the first is followed by a saddle-free Newton
 step over all six phases, whose exact gradient and Hessian the trilinear form
 gives in closed form.  Everything is deterministic for a fixed config,
 including the reduction over ascent runs: the first candidate in seed order
-within refine_tolerance of the maximum value.
+within _TOLERANCE of the maximum value.
 """
 
 from __future__ import annotations
@@ -35,16 +35,25 @@ _TIE_DECIMALS = 9
 #: scores 720^2 = 518400 points before any refinement.
 MAX_GRID_CELLS = 720
 
-#: Caps on the seed list and on the ascent iterations per seed of any valid config.
+#: Cap on the random restarts of any valid config.
 MAX_RANDOM_RESTARTS = 10_000
-MAX_REFINE_ITERATIONS = 100_000
+
+#: The ascent's stopping rule, fixed: a row stops once no phase moves more
+#: than _TOLERANCE radians in a sweep, or after _MAX_SWEEPS iterations, and
+#: values within _TOLERANCE of each other tie.  |S| is stationary at a maximum,
+#: so a phase error delta moves it only by O(delta**2): at 1e-8, about the
+#: square root of the float64 epsilon, a finer tolerance moves |S| by rounding,
+#: or by up to about 2e-13 where the maximum is so flat that a row stops
+#: farther from it.  It also lies far above one ulp of 2*pi (8.9e-16), below
+#: which a row's phases can cycle at rounding level and never stop, so every
+#: row stops long before the cap.
+_TOLERANCE = 1e-8
+_MAX_SWEEPS = 2000
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
     grid_step: float = math.radians(15.0)
-    refine_tolerance: float = 1e-8
-    max_refine_iterations: int = 2000
     seed: int = 0
     random_restarts: int = 0
 
@@ -67,10 +76,6 @@ class OptimizationConfig:
                 f"grid_step must give 1 to {MAX_GRID_CELLS} cells (from 360 down to 0.5 "
                 f"degrees), got {cells:.6g} cells"
             )
-        if not (math.isfinite(self.refine_tolerance) and self.refine_tolerance > 0.0):
-            raise ValueError(f"refine_tolerance must be positive, got {self.refine_tolerance}")
-        check_integer(self.max_refine_iterations, "max_refine_iterations", 1,
-                      MAX_REFINE_ITERATIONS)
         check_integer(self.random_restarts, "random_restarts", 0, MAX_RANDOM_RESTARTS)
         check_seed(self.seed)
 
@@ -128,13 +133,14 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
     its phase.  The sign of S is taken once per row, at its start.  A row
     sweeps parties a, b, c until no phase moves by more than `tolerance`
     radians in a sweep, or for at most `max_sweeps` sweeps, and then drops out
-    of later sweeps, so its path does not depend on the other rows.  Block
-    ascent alone converges only linearly where the parties' phases are coupled
-    (W takes hundreds of sweeps), so after each sweep from the second on, a
-    row that has not stopped also takes one saddle-free Newton step over all
-    six phases (_newton_step).  An iteration is a sweep plus at most one
-    Newton step.  Returns the (m, 6) phases, the m values |S| and the m
-    iteration counts.
+    of later sweeps, so its path does not depend on the other rows, except in
+    the last-bit rounding of the batched products, which varies with the
+    number of rows still ascending.  Block ascent alone converges only
+    linearly where the parties' phases are coupled (W takes hundreds of
+    sweeps), so after each sweep from the second on, a row that has not
+    stopped also takes one saddle-free Newton step over all six phases
+    (_newton_step).  An iteration is a sweep plus at most one Newton step.
+    Returns the (m, 6) phases, the m values |S| and the m iteration counts.
     """
     blocks = [np.moveaxis(form, p, -1).reshape(16, 4) for p in range(3)]
     # The rows still ascending: their indices, phases, weights and signs of S.
@@ -267,10 +273,10 @@ def optimize(
     first among equal scores ((phi, phi') in row-major order), so rounding
     noise, such as a visibility's scaling of every score, picks no seed.  All
     candidates ascend together, as one batch.  The first candidate whose value
-    lies within refine_tolerance of the maximum over all candidates is
-    reported.  The trace gains a point, at the ascent iterations run so far in
-    seed order, for each candidate that beats the best value before it by more
-    than refine_tolerance, the margin within which values tie.
+    lies within _TOLERANCE of the maximum over all candidates is reported.
+    The trace gains a point, at the ascent iterations run so far in seed
+    order, for each candidate that beats the best value before it by more
+    than _TOLERANCE, the margin within which values tie.
     """
     if config is None:
         config = OptimizationConfig()
@@ -287,18 +293,16 @@ def optimize(
         restarts = rng.uniform(0.0, TWO_PI, (config.random_restarts, 6))
         seeds = np.concatenate((seeds, restarts))
 
-    x, values, iterations = _ascend(
-        form, seeds, config.refine_tolerance, config.max_refine_iterations
-    )
+    x, values, iterations = _ascend(form, seeds, _TOLERANCE, _MAX_SWEEPS)
 
     best_so_far = float(scores[top[0]])
     trace = [(0, best_so_far)]
     for total, f in zip(np.cumsum(iterations).tolist(), values.tolist()):
-        if f > best_so_far + config.refine_tolerance:
+        if f > best_so_far + _TOLERANCE:
             best_so_far = f
             trace.append((total, f))
 
-    best = int(np.flatnonzero(values >= values.max() - config.refine_tolerance)[0])
+    best = int(np.flatnonzero(values >= values.max() - _TOLERANCE)[0])
     best_x = x[best].tolist()
     pairs = tuple(
         SettingsPair(best_x[2 * p], best_x[2 * p + 1]) for p in range(3)

@@ -150,9 +150,17 @@ def state_from_jsonable(data) -> PureState | DensityMatrix:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"state JSON must hold {expected}: {exc}") from exc
-    # A JSON true or false converts to 1.0 or 0.0 above; it is not a number.
-    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(data, dtype=object).flat):
-        raise ValueError(f"state JSON must hold {expected}; got a boolean (true or false)")
+    # A JSON true, false, null or numeric string converts to a float above;
+    # only a JSON int or float is a number.
+    for x in np.asarray(data, dtype=object).flat:
+        if isinstance(x, (bool, np.bool_)):
+            raise ValueError(f"state JSON must hold {expected}; got a boolean (true or false)")
+        if not isinstance(x, (int, float, np.integer, np.floating)):
+            got = "null" if x is None else repr(x)
+            raise ValueError(
+                f"state JSON must hold {expected} as JSON numbers, not strings or null; "
+                f"got {got}"
+            )
     if arr.shape == (DIM, 2):
         return PureState(arr[:, 0] + 1j * arr[:, 1])
     if arr.shape == (DIM, DIM, 2):

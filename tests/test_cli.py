@@ -80,7 +80,7 @@ def test_optimize_trace_csv(capsys, tmp_path):
     code, _, _ = run_cli(
         capsys,
         "optimize", "--state", "ghz-rl", "--functional", "svetlichny",
-        "--grid-step", "30", "--trace-csv", str(trace_path),
+        "--grid-step", "30", "--format", "csv", "--output", str(trace_path),
     )
     assert code == 0
     rows = list(csv.reader(io.StringIO(trace_path.read_text())))
@@ -290,11 +290,16 @@ def test_correlations_radians_flag(capsys):
 
 
 def test_optimize_has_no_radians_flag(capsys):
-    # optimize takes its one angle, --grid-step, in degrees only.
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["optimize", "--state", "w", "--functional", "mermin", "--radians"])
-    assert excinfo.value.code == 2
-    assert "unrecognized arguments: --radians" in capsys.readouterr().err
+    # optimize takes its one angle, --grid-step, in degrees only, and its
+    # stopping rule is fixed.  --format csv --output writes the trace.
+    for extra in (["--radians"], ["--tolerance", "1e-300"], ["--max-iterations", "5"],
+                  ["--trace-csv", "t.csv"]):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["optimize", "--state", "w", "--functional", "mermin", *extra])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
 
 
 def test_w_correlation_at_hv_settings_prints_minus_one(capsys):
@@ -386,14 +391,20 @@ def test_state_file_of_wrong_form_names_accepted_forms(capsys, tmp_path, data):
 
 
 def test_state_file_with_a_boolean_exits_two(capsys, tmp_path):
-    state_path = tmp_path / "bool.json"
-    state_path.write_text(json.dumps([[True, 0]] + [[0, 0]] * 7))
-    code, out, err = run_cli(
-        capsys, "correlations", "--state", str(state_path), "--angles", "0"
-    )
-    assert code == 2
-    assert out == ""
-    assert "got a boolean" in json.loads(err)["error"]
+    # Neither a boolean nor a string or null is a number, though each converts to one.
+    state_path = tmp_path / "state.json"
+    for first, message in [
+        (True, "got a boolean"),
+        ("1", "not strings or null; got '1'"),
+        (None, "not strings or null; got null"),
+    ]:
+        state_path.write_text(json.dumps([[first, 0]] + [[0, 0]] * 7))
+        code, out, err = run_cli(
+            capsys, "correlations", "--state", str(state_path), "--angles", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert message in json.loads(err)["error"]
 
 
 def test_directory_as_state_exits_two(capsys, tmp_path):
@@ -415,9 +426,7 @@ def test_output_in_missing_directory_exits_two(capsys, tmp_path):
     assert not target.exists()
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--restarts", "1000000000000"), ("--max-iterations", "1000000000000")]
-)
+@pytest.mark.parametrize("flag, value", [("--restarts", "1000000000000")])
 def test_optimize_rejects_unbounded_work(capsys, flag, value):
     code, out, err = run_cli(
         capsys, "optimize", "--state", "w", "--functional", "svetlichny", flag, value

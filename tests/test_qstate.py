@@ -185,17 +185,21 @@ def test_state_from_jsonable_rejects_bad_shape():
 
 
 @pytest.mark.parametrize(
-    "data",
+    "data, message",
     [
-        [[True, 0]] + [[0, 0]] * 7,
-        [[1.0, False]] + [[0.0, 0.0]] * 7,
-        maximally_mixed().to_jsonable()[:7] + [[[0.125, False]] + [[0.0, 0.0]] * 7],
-        np.array([[True, False]] + [[False, False]] * 7),
+        ([[True, 0]] + [[0, 0]] * 7, "got a boolean"),
+        ([[1.0, False]] + [[0.0, 0.0]] * 7, "got a boolean"),
+        (maximally_mixed().to_jsonable()[:7] + [[[0.125, False]] + [[0.0, 0.0]] * 7],
+         "got a boolean"),
+        (np.array([[True, False]] + [[False, False]] * 7), "got a boolean"),
+        ([["0.7071067811865476", "0"]] * 2 + [[0, 0]] * 6, "not strings or null"),
+        ([[None, 0]] + [[0, 0]] * 6 + [[1, 0]], "not strings or null; got null"),
     ],
-    ids=["pure-true", "pure-false", "density-false", "numpy-bool"],
+    ids=["pure-true", "pure-false", "density-false", "numpy-bool", "pure-string", "pure-null"],
 )
-def test_state_from_jsonable_rejects_booleans(data):
-    with pytest.raises(ValueError, match="got a boolean"):
+def test_state_from_jsonable_rejects_booleans(data, message):
+    # Only a JSON int or float is a number, though each of these converts to one.
+    with pytest.raises(ValueError, match=message):
         state_from_jsonable(data)
 
 

@@ -146,15 +146,14 @@ def test_sampling_needs_one_pair_per_party(count):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda value: OptimizationConfig(max_refine_iterations=value),
         lambda value: OptimizationConfig(random_restarts=value),
         lambda value: sample_counts(make_w(), COMMENT_PAIRS, value, seed=1),
         lambda value: CountTable(np.zeros((2, 2, 2, 8)), value),
     ],
-    ids=["max_refine_iterations", "random_restarts", "n_shots", "n_shots_per_setting"],
+    ids=["random_restarts", "n_shots", "n_shots_per_setting"],
 )
 def test_integer_fields_reject_non_integers(build, value):
-    # A float is refused, not truncated: a cap of 1.5 sweeps would never fire.
+    # A float is refused, not truncated into a different count.
     with pytest.raises(ValueError, match="must be an integer, got"):
         build(value)
 
