@@ -13,7 +13,9 @@ Re tr(rho P_u x P_v x P_w), P in (I, Z, X) (pauli_coefficients).  Each
 Born-rule number is that tensor contracted with one (I, Z, X) weight row per
 party (_born).  A StateTensor holds the tensor read-only, so every
 correlation or distribution it feeds is only the contraction; a PureState or
-DensityMatrix passed in its place is expanded afresh on each call.
+DensityMatrix passed in its place is expanded afresh on each call.  A
+PureState's projector np.outer(a, a*) is expanded directly, never built or
+validated as a DensityMatrix (the range rule's comment says why it is safe).
 
 White noise acts on the tensor alone.  The identity's only nonzero
 coefficient is T[0, 0, 0], so v*rho + (1-v)*identity/8 has the tensor v*T with
@@ -46,9 +48,13 @@ PROB_SUM_ATOL = 1e-10
 # TRACE_ATOL.  A port probability <psi|H|psi>, psi a unit ket, lies between the
 # smallest eigenvalue, >= -NEG, and the largest, <= tr H + 7*NEG.  A correlation
 # tr(H O), O Hermitian with O^2 = 1, has |E| <= sum |lambda| <= tr H + 14*NEG.
-# A pure state enters as its validated projector, and white noise only narrows
-# both ranges.  _ROUNDING covers the few hundred ulp that the expansion, eigvalsh
-# and the 27-term contraction add.
+# A pure state enters as its projector np.outer(a, a*), never validated as a
+# DensityMatrix, and the slack still covers it: entry (j, i) is computed as the
+# exact conjugate of entry (i, j), so the projector is exactly Hermitian; its
+# trace is |a|^2, within NORM_ATOL = TRACE_ATOL of 1; and it has rank 1, so its
+# eigenvalues are |a|^2 and seven zeros, each moved only by rounding.  White
+# noise only narrows both ranges.  _ROUNDING covers the few hundred ulp that
+# the projector, the expansion, eigvalsh and the 27-term contraction add.
 _NEG = EIGENVALUE_ATOL + 8.0 * HERMITIAN_ATOL
 _ROUNDING = 1e-12
 _CORRELATION_REACH = 1.0 + 14.0 * _NEG + TRACE_ATOL + _ROUNDING
@@ -128,10 +134,18 @@ def _born(state: PureState | DensityMatrix | StateTensor, weights) -> np.ndarray
 
 
 def _izx_expansion(state: PureState | DensityMatrix) -> np.ndarray:
-    """The coefficient tensor of a state, computed afresh and marked read-only."""
-    entries = as_density(state).entries.reshape((2,) * 6)
-    paulis = _PAULI_IZX
-    coeffs = np.einsum("abcdef,uda,veb,wfc->uvw", entries, paulis, paulis, paulis).real.copy()
+    """The coefficient tensor of a state, computed afresh and marked read-only.
+
+    The Paulis are real and symmetric, so Re tr(rho P) = tr(Re(rho) P): the
+    contraction reads Re(rho) alone.
+    """
+    if isinstance(state, PureState):
+        amps = state.amplitudes
+        rho = np.outer(amps, amps.conj())
+    else:
+        rho = as_density(state).entries
+    entries, paulis = rho.real.reshape((2,) * 6), _PAULI_IZX
+    coeffs = np.einsum("abcdef,uda,veb,wfc->uvw", entries, paulis, paulis, paulis)
     coeffs.flags.writeable = False
     return coeffs
 
@@ -190,11 +204,8 @@ class OutcomeDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float).reshape(2, 2, 2)
-        total = float(probs.sum())
-        probs = _in_range(probs, _PROBABILITY, "outcome probabilities")
-        if abs(total - 1.0) > PROB_SUM_ATOL:
-            raise ValueError(f"outcome probabilities sum to {total}, expected 1")
+        probs = _checked_probabilities(np.array(self.probs, dtype=float).reshape(8))
+        probs = probs.reshape(2, 2, 2)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
@@ -206,6 +217,26 @@ class OutcomeDistribution:
         return dict(zip(OUTCOME_LABELS, self.probs.ravel().tolist()))
 
 
+def _port_rows(phases) -> np.ndarray:
+    """(I, Z, X) rows (1, +-g)/2 of the two ports per wrapped phase, on new axes (port, 3)."""
+    g = 0.5 * analyzer_weights(phases)
+    rows = np.empty(g.shape[:-1] + (2, 3))
+    rows[..., 0] = 0.5
+    rows[..., 0, 1:] = g
+    rows[..., 1, 1:] = -g
+    return rows
+
+
+def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
+    """probs[..., outcome] clipped by _in_range; ValueError if a row's sum is not 1."""
+    totals = probs.sum(axis=-1)
+    probs = _in_range(probs, _PROBABILITY, "outcome probabilities")
+    off = np.abs(totals - 1.0) > PROB_SUM_ATOL
+    if off.any():
+        raise ValueError(f"outcome probabilities sum to {float(totals[off][0])}, expected 1")
+    return probs
+
+
 def outcome_distribution(
     state: PureState | DensityMatrix | StateTensor, settings
 ) -> OutcomeDistribution:
@@ -213,11 +244,7 @@ def outcome_distribution(
     phis = tuple(float(p) for p in settings)
     if len(phis) != 3:
         raise ValueError(f"expected 3 analyzer settings, got {len(phis)}")
-    g = 0.5 * analyzer_weights([wrap_phase(phi) for phi in phis])
-    ports = np.empty((3, 2, 3))  # party, port, (I, Z, X)
-    ports[:, :, 0] = 0.5
-    ports[:, 0, 1:] = g
-    ports[:, 1, 1:] = -g
+    ports = _port_rows([wrap_phase(phi) for phi in phis])  # party, port, (I, Z, X)
     return OutcomeDistribution(_born(state, ports))
 
 

@@ -31,7 +31,10 @@ from .inequalities import (
     functional_value,
     party_pairs,
 )
-from .polarimetry import OUTCOME_LABELS, OUTCOME_SIGNS, StateTensor, outcome_distribution
+from .polarimetry import (
+    OUTCOME_LABELS, OUTCOME_SIGNS, StateTensor, _born, _checked_probabilities, _port_rows,
+    wrap_phase,
+)
 from .qstate import DensityMatrix, PureState
 
 # Counts are int64 (CountTable), so one setting holds at most 2**63 - 1 shots.
@@ -109,23 +112,34 @@ def _setting_stream(seed: int, choice_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _probability_table(state: PureState | DensityMatrix | StateTensor, pairs) -> np.ndarray:
+    """probs[index, outcome]: the outcome distribution of every setting choice.
+
+    Rows follow SETTING_CHOICES and columns OUTCOME_LABELS.  All 64 numbers are
+    one contraction, with a (4, 3) block of port rows per party (2 settings x
+    2 ports), and each row equals outcome_distribution's probs bitwise.
+    """
+    phases = [[wrap_phase(p.phi), wrap_phase(p.phi_prime)] for p in party_pairs(pairs)]
+    born = _born(state, _port_rows(phases).reshape(3, 4, 3))
+    # (i, oa, j, ob, k, oc) -> (i, j, k, oa, ob, oc)
+    table = born.reshape((2,) * 6).transpose(0, 2, 4, 1, 3, 5).reshape(8, 8)
+    return _checked_probabilities(table)
+
+
 def sample_counts(
     state: PureState | DensityMatrix | StateTensor, pairs, n_shots: int, seed: int
 ) -> CountTable:
     """Draw n_shots outcome triples per setting choice from the Born rule."""
     n_shots = check_integer(n_shots, "n_shots", 1, MAX_SHOTS_PER_SETTING, "2**63 - 1")
     check_seed(seed)
-    pairs = party_pairs(pairs)
-    state = StateTensor(state)  # one expansion read by all eight setting choices
+    table = _probability_table(state, pairs)
     counts = np.zeros((8, 8), dtype=np.int64)
     # One generator serves every setting: re-keying it to (seed, index) with a
     # fresh counter and buffer puts it in the state _setting_stream(seed, index)
     # starts in, for a fraction of the cost of building that stream.
     rng = _setting_stream(seed, 0)
     start = rng.bit_generator.state
-    for index, (i, j, k) in enumerate(SETTING_CHOICES):
-        phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
-        probs = outcome_distribution(state, phis).probs.reshape(8)
+    for index, probs in enumerate(table):
         start["state"]["key"][1] = index
         rng.bit_generator.state = start
         counts[index] = rng.multinomial(n_shots, probs / probs.sum())

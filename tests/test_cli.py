@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tribell import CorrelationTensor, cli, make_w, polarimetry, qstate, shots
@@ -186,22 +187,40 @@ def work(monkeypatch):
     return counts
 
 
+# The named states are pure: their projectors are expanded directly, and no
+# DensityMatrix is built or validated for them.
+
+
 def test_reproduce_builds_each_state_once(work):
     rows = cli.run_reproduction()
     assert all(row["passed"] for row in rows)
-    assert work == {"states": 1, "tensors": 1}
+    assert work == {"states": 0, "tensors": 1}
 
 
 @pytest.mark.parametrize("visibility", [[], ["--visibility", "0.9"]], ids=["pure", "mixed"])
 def test_sample_computes_the_tensor_once(capsys, work, visibility):
     code, _, _ = run_cli(capsys, *REQUESTS["sample"], *visibility, "--format", "json")
     assert code == 0
-    assert work == {"states": 1, "tensors": 1}
+    assert work == {"states": 0, "tensors": 1}
 
 
 @pytest.mark.parametrize("request_name", ["correlations-angles", "correlations-pairs"])
 def test_correlations_build_one_state_and_one_tensor(capsys, work, request_name):
     code, _, _ = run_cli(capsys, *REQUESTS[request_name], "--format", "json")
+    assert code == 0
+    assert work == {"states": 0, "tensors": 1}
+
+
+@pytest.mark.parametrize(
+    "request_name", ["sample", "correlations-angles", "correlations-pairs", "optimize"]
+)
+def test_density_matrix_state_file_is_validated_once(capsys, tmp_path, work, request_name):
+    amps = make_w().amplitudes
+    rho = [[[z.real, z.imag] for z in row] for row in np.outer(amps, amps.conj()).tolist()]
+    state_path = tmp_path / "rho.json"
+    state_path.write_text(json.dumps(rho))
+    argv = [str(state_path) if arg == "w" else arg for arg in REQUESTS[request_name]]
+    code, _, _ = run_cli(capsys, *argv, "--visibility", "0.9", "--format", "json")
     assert code == 0
     assert work == {"states": 1, "tensors": 1}
 
@@ -214,7 +233,7 @@ def test_visibility_builds_no_second_state_or_tensor(capsys, work, request_name)
     argv = [*REQUESTS[request_name], "--visibility", "0.9", "--format", "json"]
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert work == {"states": 1, "tensors": 1}
+    assert work == {"states": 0, "tensors": 1}
 
 
 def test_parser_is_built_once_per_process():

@@ -273,6 +273,19 @@ def test_pauli_coefficients_identity_entry_is_trace(seed):
     assert abs(coeffs[0, 0, 0] - 1.0) < 1e-12
 
 
+@given(seed=st.integers(0, 2**32 - 1), named=st.sampled_from([None, *NAMED_STATES]))
+@example(seed=0, named=NAMED_STATES[0])
+@example(seed=0, named=NAMED_STATES[1])
+@example(seed=0, named=NAMED_STATES[2])
+def test_pure_state_expands_as_its_validated_projector_bitwise(seed, named):
+    # A pure state skips the DensityMatrix; every bit of T, sign bits included,
+    # is what its validated projector gives.
+    state = named or random_pure(np.random.default_rng(seed))
+    direct = pauli_coefficients(state)
+    assert direct.tobytes() == pauli_coefficients(pure_to_density(state)).tobytes()
+    assert not direct.flags.writeable
+
+
 #: A PureState and a DensityMatrix: pauli_coefficients takes either.
 STATE_KINDS = (make_w, lambda: as_density(make_w()))
 

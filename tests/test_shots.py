@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density
+from helpers import random_density, random_pure
 from tribell import (
     BOUND,
     Classification,
@@ -19,11 +19,13 @@ from tribell import (
     Functional,
     OptimizationConfig,
     SettingsPair,
+    StateTensor,
     correlation_tensor,
     critical_visibility,
     estimate_inequality,
     estimate_tensor,
     functional_value,
+    make_ghz,
     make_w,
     maximally_mixed,
     mix_with_white_noise,
@@ -36,7 +38,7 @@ from tribell import (
 from tribell import polarimetry
 from tribell.inequalities import SETTING_KEYS
 from tribell.polarimetry import OUTCOME_LABELS
-from tribell.shots import MAX_SHOTS_PER_SETTING, _setting_stream
+from tribell.shots import MAX_SHOTS_PER_SETTING, _probability_table, _setting_stream
 
 COMMENT_PAIRS = symmetric_pairs(math.pi / 2.0, 0.0)
 OPTIMAL_PAIRS = symmetric_pairs(math.radians(35.264), math.radians(144.736))
@@ -122,7 +124,7 @@ def test_seed_outside_uint64_is_rejected():
 
 
 def test_library_sampling_expands_the_state_once(monkeypatch):
-    # Eight setting choices read one StateTensor, not eight expansions.
+    # Eight setting choices read one contraction of one expansion.
     expand = polarimetry._izx_expansion
     calls = []
 
@@ -133,6 +135,81 @@ def test_library_sampling_expands_the_state_once(monkeypatch):
     monkeypatch.setattr(polarimetry, "_izx_expansion", counting_expand)
     sample_counts(make_w(), OPTIMAL_PAIRS, 100, seed=1)
     assert len(calls) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["w", "ghz-hv", "ghz-rl", "pure", 1, 2, 3, 4, 5, 6, 7, 8]),
+    visibility=st.floats(0.0, 1.0),
+    phases=st.lists(
+        st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-7.5, 40.0, 0.0, math.pi / 2.0])),
+        min_size=6, max_size=6,
+    ),
+)
+@example(seed=0, kind="w", visibility=1.0, phases=[0.0, math.pi / 2.0] * 3)
+@example(seed=0, kind="ghz-hv", visibility=0.5, phases=[0.0, math.pi / 2.0] * 3)
+@example(seed=1, kind=3, visibility=0.9, phases=[-7.5, 40.0, 40.0, -7.5, 0.3, 2.0])
+def test_probability_table_is_the_eight_outcome_distributions_bitwise(
+    seed, kind, visibility, phases
+):
+    # W at H/V settings has exact zeros that the contraction rounds to -2.8e-17:
+    # both paths must clip them alike.
+    rng = np.random.default_rng(seed)
+    named = {"w": make_w, "ghz-hv": lambda: make_ghz("linear_hv"),
+             "ghz-rl": lambda: make_ghz("circular_rl"), "pure": lambda: random_pure(rng)}
+    state = named[kind]() if kind in named else random_density(rng, rank=kind)
+    tensor = StateTensor(state, visibility)
+    pairs = tuple(SettingsPair(phases[2 * p], phases[2 * p + 1]) for p in range(3))
+    table = _probability_table(tensor, pairs)
+    assert table.shape == (8, 8)
+    for index, (i, j, k) in enumerate(itertools.product((0, 1), repeat=3)):
+        phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
+        expected = outcome_distribution(tensor, phis).probs.reshape(8)
+        assert table[index].tobytes() == expected.tobytes()
+
+
+def _forced_tensor(values) -> StateTensor:
+    """A StateTensor holding values that no accepted state has."""
+    tensor = StateTensor(make_w())
+    forced = np.array(values, dtype=float)
+    forced.flags.writeable = False
+    object.__setattr__(tensor, "values", forced)
+    return tensor
+
+
+def _uniform(t000: float) -> np.ndarray:
+    values = np.zeros((3, 3, 3))
+    values[0, 0, 0] = t000
+    return values
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (_uniform(math.nan), "must be finite, got NaN or inf"),
+        (_uniform(9.0), r"outside \[0, 1\]: 1.125"),
+        (_uniform(-1.0), r"outside \[0, 1\]: -0.125"),
+        (_uniform(1.0 + 1e-9), "sum to 1.000000001, expected 1"),
+        (3.0 * polarimetry.pauli_coefficients(make_w()), "outside"),
+        (polarimetry.pauli_coefficients(make_w()) + _uniform(1e-6), "sum to"),
+    ],
+    ids=["nan", "above", "below", "sum", "scaled-w", "w-sum"],
+)
+def test_out_of_range_tensor_fails_sampling_as_it_fails_a_distribution(values, message):
+    # sample_counts raises the message of one setting's outcome_distribution:
+    # the worst entry's, or else the first setting whose sum is off.
+    tensor = _forced_tensor(values)
+    raised = []
+    for i, j, k in itertools.product((0, 1), repeat=3):
+        phis = (OPTIMAL_PAIRS[0].setting(i), OPTIMAL_PAIRS[1].setting(j),
+                OPTIMAL_PAIRS[2].setting(k))
+        with pytest.raises(ValueError) as failure:
+            outcome_distribution(tensor, phis)
+        raised.append(str(failure.value))
+    with pytest.raises(ValueError, match=message) as failure:
+        sample_counts(tensor, OPTIMAL_PAIRS, 10, seed=0)
+    assert str(failure.value) in raised
 
 
 @pytest.mark.parametrize("count", [0, 2, 4])
