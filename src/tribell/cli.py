@@ -36,7 +36,7 @@ NAMED_STATES = {
 
 
 def render_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def render_csv(rows) -> str:
@@ -69,7 +69,7 @@ def _load_state(state_arg: str):
     if constructor is not None:
         return constructor()
     path = Path(state_arg)
-    if not path.exists():
+    if not path.exists() or path.is_dir():
         raise ValueError(
             f"unknown state {state_arg!r}: use one of {tuple(NAMED_STATES)} "
             "or a JSON file path"
@@ -197,11 +197,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_optimize(args) -> int:
     state = _prepare_state(args)
-    config = optimizer.OptimizationConfig(
-        grid_step=math.radians(args.grid_step),
-        seed=args.seed,
-        random_restarts=args.restarts,
-    )
+    config = optimizer.OptimizationConfig(seed=args.seed, random_restarts=args.restarts)
     functional = Functional(args.functional)
     result = optimizer.optimize(state, functional, config)
     report = classify(result.best_value, functional)
@@ -349,9 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize |S_M| or |S_V| over analyzer phases")
     _add_common(p)
     p.add_argument("--functional", choices=("mermin", "svetlichny"), required=True)
-    p.add_argument("--grid-step", type=float, default=15.0,
-                   help="step in degrees of the symmetric seed grid, phi and phi' equal "
-                        "across parties; must divide 360, at least 0.5 (default 15)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random restarts, in [0, 2**64 - 1] (default 0)")
     p.add_argument("--restarts", type=int, default=0,

@@ -164,7 +164,8 @@ class EstimatedReport(InequalityReport):
     def to_jsonable(self) -> dict:
         out = super().to_jsonable()
         out["std_error"] = float(self.std_error)
-        out["z_score"] = float(self.z_score)
+        # JSON has no Infinity: a z-score with zero standard error is written as null.
+        out["z_score"] = float(self.z_score) if math.isfinite(self.z_score) else None
         return out
 
 

@@ -66,7 +66,7 @@ def test_optimize_w_svetlichny_json(capsys):
     code, out, _ = run_cli(
         capsys,
         "optimize", "--state", "w", "--functional", "svetlichny",
-        "--grid-step", "30", "--format", "json",
+        "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -81,7 +81,7 @@ def test_optimize_trace_csv(capsys, tmp_path):
     code, _, _ = run_cli(
         capsys,
         "optimize", "--state", "ghz-rl", "--functional", "svetlichny",
-        "--grid-step", "30", "--format", "csv", "--output", str(trace_path),
+        "--format", "csv", "--output", str(trace_path),
     )
     assert code == 0
     rows = list(csv.reader(io.StringIO(trace_path.read_text())))
@@ -117,6 +117,26 @@ def test_sample_json_reports(capsys):
     assert set(payload["reports"]) == {"mermin", "svetlichny"}
     assert payload["tensor"]["111"] == -1.0
     assert payload["reports"]["svetlichny"]["value"] == pytest.approx(3.0, abs=0.2)
+
+
+def test_sample_with_zero_standard_error_prints_strict_json(capsys):
+    # With one shot every estimate is +-1, so the standard error is 0 and the
+    # z-score infinite: JSON has no Infinity, so the report writes null.
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    argv = ["sample", "--state", "w", "--pairs", "35.264,144.736", "--shots", "1",
+            "--seed", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    reports = json.loads(out, parse_constant=reject)["reports"]
+    assert [rep["std_error"] for rep in reports.values()] == [0.0, 0.0]
+    assert [rep["z_score"] for rep in reports.values()] == [None, None]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.count("z = -inf") == 2
+    with pytest.raises(ValueError):
+        cli.render_json({"z_score": math.inf})
 
 
 def test_sample_csv_counts(capsys):
@@ -309,10 +329,10 @@ def test_correlations_radians_flag(capsys):
 
 
 def test_optimize_has_no_radians_flag(capsys):
-    # optimize takes its one angle, --grid-step, in degrees only, and its
-    # stopping rule is fixed.  --format csv --output writes the trace.
-    for extra in (["--radians"], ["--tolerance", "1e-300"], ["--max-iterations", "5"],
-                  ["--trace-csv", "t.csv"]):
+    # optimize takes no angle: its seed grid and stopping rule are fixed.
+    # --format csv --output writes the trace.
+    for extra in (["--radians"], ["--grid-step", "15"], ["--tolerance", "1e-300"],
+                  ["--max-iterations", "5"], ["--trace-csv", "t.csv"]):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["optimize", "--state", "w", "--functional", "mermin", *extra])
         assert excinfo.value.code == 2
@@ -427,10 +447,12 @@ def test_state_file_with_a_boolean_exits_two(capsys, tmp_path):
 
 
 def test_directory_as_state_exits_two(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "correlations", "--state", str(tmp_path), "--angles", "0")
-    assert code == 2
-    assert out == ""
-    assert "error" in json.loads(err)
+    # "" is the path ".", which exists too.
+    for state in (str(tmp_path), ""):
+        code, out, err = run_cli(capsys, "correlations", "--state", state, "--angles", "0")
+        assert code == 2
+        assert out == ""
+        assert "unknown state" in json.loads(err)["error"]
 
 
 def test_output_in_missing_directory_exits_two(capsys, tmp_path):
@@ -479,20 +501,9 @@ def test_state_file_nested_too_deeply_exits_two(capsys, tmp_path):
     assert "nested too deeply" in json.loads(err)["error"]
 
 
-def test_optimize_rejects_grid_step_wider_than_a_turn(capsys):
-    code, out, err = run_cli(
-        capsys, "optimize", "--state", "w", "--functional", "svetlichny",
-        "--grid-step", "1e20",
-    )
-    assert code == 2
-    assert out == ""
-    assert "1 to 720 cells" in json.loads(err)["error"]
-
-
 REQUESTS = {
     "reproduce": ["reproduce"],
-    "optimize": ["optimize", "--state", "w", "--functional", "svetlichny",
-                 "--grid-step", "30"],
+    "optimize": ["optimize", "--state", "w", "--functional", "svetlichny"],
     "lhv-scan": ["lhv-scan", "--functional", "mermin", "--model", "local"],
     "sample": ["sample", "--state", "w", "--pairs", "90,0", "--shots", "100",
                "--seed", "1"],
