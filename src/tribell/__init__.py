@@ -58,7 +58,6 @@ from .shots import (
     critical_visibility,
     estimate_inequality,
     estimate_tensor,
-    report_from_tensor,
     sample_counts,
 )
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -27,12 +26,16 @@ from .lhv import ModelClass, lhv_max
 from .polarimetry import StateTensor, correlation, outcome_distribution
 from .qstate import make_ghz, make_w, state_from_jsonable
 
-#: CLI state names and the constructors they stand for.
-NAMED_STATES = {
-    "w": make_w,
-    "ghz-hv": lambda: make_ghz("linear_hv"),
-    "ghz-rl": lambda: make_ghz("circular_rl"),
-}
+#: CLI state names and their tensors at v = 1, built once per process, read-only.
+NAMED_STATES = MappingProxyType({
+    "w": StateTensor(make_w()),
+    "ghz-hv": StateTensor(make_ghz("linear_hv")),
+    "ghz-rl": StateTensor(make_ghz("circular_rl")),
+})
+
+#: Largest state file accepted, in bytes: a valid one is a few KB, and a
+#: path that never ends, such as /dev/zero, is refused after this many.
+MAX_STATE_FILE_BYTES = 2**20
 
 
 def render_json(payload) -> str:
@@ -65,17 +68,21 @@ def _emit(args, payload, csv_rows, table_lines) -> None:
 
 
 def _load_state(state_arg: str):
-    constructor = NAMED_STATES.get(state_arg.lower())
-    if constructor is not None:
-        return constructor()
+    named = NAMED_STATES.get(state_arg.lower())
+    if named is not None:
+        return named
     path = Path(state_arg)
     if not path.exists() or path.is_dir():
         raise ValueError(
             f"unknown state {state_arg!r}: use one of {tuple(NAMED_STATES)} "
             "or a JSON file path"
         )
+    with path.open("rb") as file:  # one bounded read: a pipe has no size to check
+        raw = file.read(MAX_STATE_FILE_BYTES + 1)
+    if len(raw) > MAX_STATE_FILE_BYTES:
+        raise ValueError(f"state file {state_arg!r} is over {MAX_STATE_FILE_BYTES} bytes")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(raw)
     except RecursionError:
         raise ValueError(f"state file {state_arg!r} is nested too deeply") from None
     return state_from_jsonable(data)
@@ -84,7 +91,8 @@ def _load_state(state_arg: str):
 def _prepare_state(args) -> StateTensor:
     """The request's state tensor at its --visibility (1 if unset), shared by every step.
 
-    The state itself is validated once; white noise only rescales its tensor.
+    A named state is already a tensor and a state file is validated once;
+    white noise only rescales the tensor.
     """
     visibility = 1.0 if args.visibility is None else args.visibility
     return StateTensor(_load_state(args.state), visibility)
@@ -121,25 +129,25 @@ def load_reproduce_manifest() -> tuple:
     return tuple(json.loads(text, object_hook=MappingProxyType)["rows"])
 
 
-def _row_state_and_pairs(params: dict, states: dict):
-    """The state (from `states`, keyed by name) and symmetric settings a row names."""
+def _row_state_and_pairs(params: dict):
+    """The named state's tensor and the symmetric settings a row names."""
     pairs = symmetric_pairs(
         math.radians(params["phi_deg"]), math.radians(params["phi_prime_deg"])
     )
-    return states[params["state"]], pairs
+    return NAMED_STATES[params["state"]], pairs
 
 
-def _evaluate_manifest_row(row: dict, states: dict) -> float:
+def _evaluate_manifest_row(row: dict) -> float:
     kind = row["kind"]
     params = row["params"]
     functional = Functional(params["functional"])
     if kind == "functional_value":
-        state, pairs = _row_state_and_pairs(params, states)
+        state, pairs = _row_state_and_pairs(params)
         return functional_value(correlation_tensor(state, pairs), functional)
     if kind == "lhv_max":
         return lhv_max(functional, ModelClass(params["model"])).max_value
     if kind == "critical_visibility":
-        state, pairs = _row_state_and_pairs(params, states)
+        state, pairs = _row_state_and_pairs(params)
         return shots.critical_visibility(state, pairs, functional)
     raise ValueError(f"unknown manifest row kind {kind!r}")
 
@@ -147,14 +155,12 @@ def _evaluate_manifest_row(row: dict, states: dict) -> float:
 def run_reproduction() -> list[dict]:
     """Evaluate every manifest row; each gets value, expected, and a pass flag.
 
-    Each state the manifest names becomes one StateTensor, built once per call.
+    Each state the manifest names is read from NAMED_STATES, so a call builds
+    no state and expands no coefficients.
     """
-    manifest = load_reproduce_manifest()
-    names = {row["params"]["state"] for row in manifest if "state" in row["params"]}
-    states = {name: StateTensor(_load_state(name)) for name in names}
     results = []
-    for row in manifest:
-        value = _evaluate_manifest_row(row, states)
+    for row in load_reproduce_manifest():
+        value = _evaluate_manifest_row(row)
         passed = abs(value - row["expected"]) <= row["tolerance"]
         results.append(
             {
@@ -234,15 +240,15 @@ def cmd_sample(args) -> int:
     state = _prepare_state(args)
     pairs = _parse_pairs(args.pairs, args.radians)
     table = shots.sample_counts(state, pairs, args.shots, args.seed)
-    tensor, std_errors = shots.estimate_tensor(table)
+    estimated = shots.estimate_tensor(table)
     functionals = (
         list(Functional) if args.functional == "both" else [Functional(args.functional)]
     )
     degenerate = _scenario_degenerate(pairs)
     reports = {
-        f.value: dataclasses.replace(shots.estimate_inequality(table, f), degenerate=degenerate)
-        for f in functionals
+        f.value: shots.estimate_inequality(estimated, f, degenerate) for f in functionals
     }
+    tensor, std_errors = estimated
     estimates = tensor.to_jsonable()
     errors = dict(zip(estimates, std_errors.ravel().tolist()))
     payload = {

@@ -173,11 +173,12 @@ class StateTensor:
 
     values = v*T with 1 - v added to T[0, 0, 0], the tensor of
     v*rho + (1-v)*identity/8 (mix_with_white_noise); at v = 1 it equals T
-    bitwise.  correlation, outcome_distribution, correlation_tensor,
-    sample_counts, critical_visibility and optimize take it in place of a state.
+    bitwise, so StateTensor(StateTensor(state), v) equals StateTensor(state, v).
+    correlation, outcome_distribution, correlation_tensor, sample_counts,
+    critical_visibility and optimize take it in place of a state.
     """
 
-    state: InitVar[PureState | DensityMatrix]
+    state: InitVar[PureState | DensityMatrix | StateTensor]
     visibility: float = 1.0
     values: np.ndarray = field(init=False, repr=False)
 

@@ -178,38 +178,29 @@ def _z_score(value: float, bound: float, std_error: float) -> float:
     return math.copysign(math.inf, excess)
 
 
-def report_from_tensor(
-    tensor: CorrelationTensor,
+def estimate_inequality(
+    estimated: tuple[CorrelationTensor, np.ndarray],
     functional: Functional,
-    std_error: float = 0.0,
     degenerate: bool = False,
 ) -> EstimatedReport:
-    """Build a statistical report from a tensor; std_error 0 is the exact path."""
-    functional = Functional(functional)
-    value = functional_value(tensor, functional)
-    base = classify(value, functional, degenerate=degenerate)
-    return EstimatedReport(
-        **vars(base),
-        std_error=float(std_error),
-        z_score=_z_score(base.value, base.bound, float(std_error)),
-    )
+    """Point estimate, quadrature-combined error, and significance.
 
-
-def estimate_inequality(table: CountTable, functional: Functional) -> EstimatedReport:
-    """Point estimate, quadrature-combined error, and significance from counts.
-
-    The error is sqrt(sum c^2 sigma^2) over the functional's sign tensor c and
-    the per-entry errors sigma.
+    estimated is estimate_tensor's (tensor, entry_errors), so one table's
+    estimates serve every functional.  The error is sqrt(sum c^2 sigma^2)
+    over the functional's sign tensor c and the per-entry errors sigma.
     """
     functional = Functional(functional)
-    tensor, entry_errors = estimate_tensor(table)
+    tensor, entry_errors = estimated
     signs = SIGN_TENSOR[functional]
     # Summed term by term in index order, so the reported error does not
     # depend on the grouping of a vectorized reduction.
     std_error = math.sqrt(
         sum(float(c) ** 2 * float(s) ** 2 for c, s in zip(signs.flat, entry_errors.flat))
     )
-    return report_from_tensor(tensor, functional, std_error=std_error)
+    base = classify(functional_value(tensor, functional), functional, degenerate)
+    return EstimatedReport(
+        **vars(base), std_error=std_error, z_score=_z_score(base.value, base.bound, std_error)
+    )
 
 
 def critical_visibility(

@@ -31,6 +31,7 @@ from tribell import (
     enumerate_hybrid,
     enumerate_local,
     estimate_inequality,
+    estimate_tensor,
     lhv_max,
     make_ghz,
     make_w,
@@ -172,7 +173,7 @@ def test_criterion_6_visibility_threshold():
 
 def test_criterion_7_finite_statistics_reproduction():
     table = sample_counts(make_w(), QUOTED_PAIRS, 1_000_000, seed=2026)
-    report = estimate_inequality(table, Functional.SVETLICHNY)
+    report = estimate_inequality(estimate_tensor(table), Functional.SVETLICHNY)
     ok = (
         abs(report.value - 4.354) <= 5.0 * report.std_error
         and report.z_score > 3.0

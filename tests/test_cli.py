@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from tribell import CorrelationTensor, cli, make_w, polarimetry, qstate, shots
+from tribell import (
+    CorrelationTensor, Functional, StateTensor, cli, make_ghz, make_w, polarimetry, qstate, shots,
+)
 
 
 def run_cli(capsys, *argv):
@@ -207,28 +210,58 @@ def work(monkeypatch):
     return counts
 
 
-# The named states are pure: their projectors are expanded directly, and no
-# DensityMatrix is built or validated for them.
+@pytest.mark.parametrize(
+    "name, make",
+    [("w", make_w), ("ghz-hv", lambda: make_ghz("linear_hv")),
+     ("ghz-rl", lambda: make_ghz("circular_rl"))],
+)
+def test_named_states_are_read_only_tensors_of_their_states(name, make):
+    named = cli.NAMED_STATES[name]
+    assert named.visibility == 1.0
+    assert named.values.tobytes() == StateTensor(make()).values.tobytes()
+    # A noisy request rescales the named tensor exactly as it would the state.
+    assert (StateTensor(named, 0.9).values.tobytes()
+            == StateTensor(make(), 0.9).values.tobytes())
+    with pytest.raises(ValueError):
+        named.values[0, 0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        named.visibility = 0.5
+    with pytest.raises(TypeError):
+        cli.NAMED_STATES[name] = StateTensor(make(), 0.5)
+    assert cli._load_state(name.upper()) is named
+
+
+# The named states are tensors built when cli is imported: a request that
+# names one builds, validates and expands no state.
 
 
 def test_reproduce_builds_each_state_once(work):
     rows = cli.run_reproduction()
     assert all(row["passed"] for row in rows)
-    assert work == {"states": 0, "tensors": 1}
+    assert work == {"states": 0, "tensors": 0}
 
 
 @pytest.mark.parametrize("visibility", [[], ["--visibility", "0.9"]], ids=["pure", "mixed"])
-def test_sample_computes_the_tensor_once(capsys, work, visibility):
+def test_sample_computes_the_tensor_once(capsys, monkeypatch, work, visibility):
+    calls = []
+    estimate_tensor = shots.estimate_tensor
+
+    def counting_estimate(table):
+        calls.append(table)
+        return estimate_tensor(table)
+
+    monkeypatch.setattr(shots, "estimate_tensor", counting_estimate)
     code, _, _ = run_cli(capsys, *REQUESTS["sample"], *visibility, "--format", "json")
     assert code == 0
-    assert work == {"states": 0, "tensors": 1}
+    assert work == {"states": 0, "tensors": 0}
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("request_name", ["correlations-angles", "correlations-pairs"])
 def test_correlations_build_one_state_and_one_tensor(capsys, work, request_name):
     code, _, _ = run_cli(capsys, *REQUESTS[request_name], "--format", "json")
     assert code == 0
-    assert work == {"states": 0, "tensors": 1}
+    assert work == {"states": 0, "tensors": 0}
 
 
 @pytest.mark.parametrize(
@@ -249,11 +282,11 @@ def test_density_matrix_state_file_is_validated_once(capsys, tmp_path, work, req
     "request_name", ["correlations-angles", "correlations-pairs", "optimize"]
 )
 def test_visibility_builds_no_second_state_or_tensor(capsys, work, request_name):
-    # White noise rescales the tensor: no mixed density matrix, no second expansion.
+    # White noise rescales the tensor: no mixed density matrix, no expansion.
     argv = [*REQUESTS[request_name], "--visibility", "0.9", "--format", "json"]
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert work == {"states": 0, "tensors": 1}
+    assert work == {"states": 0, "tensors": 0}
 
 
 def test_parser_is_built_once_per_process():
@@ -358,6 +391,21 @@ def test_correlations_degenerate_pairs_flagged(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["reports"]["mermin"]["degenerate"] is True
+
+
+@pytest.mark.parametrize("pairs, degenerate", [("30,30", True), ("35.264,144.736", False)])
+def test_sample_reports_flag_degenerate_settings(capsys, pairs, degenerate):
+    argv = ["sample", "--state", "w", "--pairs", pairs, "--shots", "1000", "--seed", "5"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    table = shots.sample_counts(cli.NAMED_STATES["w"], cli._parse_pairs(pairs, False), 1000, 5)
+    estimated = shots.estimate_tensor(table)
+    for functional in Functional:
+        report = reports[functional.value]
+        assert report["degenerate"] is degenerate
+        expected = shots.estimate_inequality(estimated, functional, degenerate=degenerate)
+        assert report == expected.to_jsonable()
 
 
 def test_correlations_visibility(capsys):
@@ -499,6 +547,21 @@ def test_state_file_nested_too_deeply_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "nested too deeply" in json.loads(err)["error"]
+
+
+def test_state_file_is_read_up_to_its_byte_budget(capsys, tmp_path):
+    text = json.dumps(make_w().to_jsonable())
+    state_path = tmp_path / "padded.json"
+    argv = ["correlations", "--state", str(state_path), "--angles", "0", "--format", "json"]
+    state_path.write_text(text.ljust(cli.MAX_STATE_FILE_BYTES))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["correlation"] == -1.0
+    state_path.write_text(text.ljust(cli.MAX_STATE_FILE_BYTES + 1))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"over {cli.MAX_STATE_FILE_BYTES} bytes" in json.loads(err)["error"]
 
 
 REQUESTS = {

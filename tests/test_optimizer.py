@@ -205,7 +205,7 @@ def _assert_local_maximum(rho, x, functional):
 @pytest.mark.parametrize("functional", list(Functional))
 @pytest.mark.parametrize("name", list(NAMED_STATES))
 def test_default_runs_end_at_a_local_maximum(name, functional):
-    rho = NAMED_STATES[name]()
+    rho = NAMED_STATES[name]
     settings = optimize(rho, functional).best_settings
     x = np.array([phase for pair in settings for phase in (pair.phi, pair.phi_prime)])
     _assert_local_maximum(rho, x, functional)
@@ -216,9 +216,9 @@ def test_default_runs_end_at_a_local_maximum(name, functional):
 def test_visibility_does_not_move_the_optimum(name, functional):
     # White noise has no correlations, so S scales by v at every setting: the
     # same seeds, paths and settings, and the value times v.
-    full = optimize(StateTensor(NAMED_STATES[name](), 1.0), functional)
+    full = optimize(NAMED_STATES[name], functional)
     for visibility in (0.3, 0.8, 0.878321, 0.999999):
-        noisy = optimize(StateTensor(NAMED_STATES[name](), visibility), functional)
+        noisy = optimize(StateTensor(NAMED_STATES[name], visibility), functional)
         assert noisy.best_value == pytest.approx(visibility * full.best_value, rel=1e-12)
         assert settings_distance(noisy.best_settings, full.best_settings) <= 1e-9
 
@@ -242,7 +242,7 @@ def _seeded_run(monkeypatch, state, functional):
 def test_grid_seeds_rank_ties_in_grid_order(monkeypatch, name, functional):
     # Scores equal to 9 decimals tie, and the smaller grid index goes first:
     # W Mermin and ghz-rl have ties at the top, ghz-rl Svetlichny more than 10.
-    state = NAMED_STATES[name]()
+    state = NAMED_STATES[name]
     _, seeds = _seeded_run(monkeypatch, state, functional)
     n = optimizer._GRID_CELLS
     grid = np.arange(n) * 2.0 * math.pi / n
@@ -459,7 +459,7 @@ def test_flip_keeps_both_functionals_of_named_states(name, seed):
     x = random_angles(rng, 6)
     pairs = tuple(SettingsPair(x[2 * p], x[2 * p + 1]) for p in range(3))
     flipped = objective_symmetries(pairs)[-1]
-    state = StateTensor(NAMED_STATES[name]())
+    state = NAMED_STATES[name]
     for functional in Functional:
         value = abs(functional_value(correlation_tensor(state, pairs), functional))
         image = abs(functional_value(correlation_tensor(state, flipped), functional))

@@ -31,7 +31,6 @@ from tribell import (
     mix_with_white_noise,
     outcome_distribution,
     pure_to_density,
-    report_from_tensor,
     sample_counts,
     symmetric_pairs,
 )
@@ -57,8 +56,8 @@ def test_sampling_is_deterministic_per_seed(seed):
     first = sample_counts(make_w(), COMMENT_PAIRS, 100, seed=seed)
     second = sample_counts(make_w(), COMMENT_PAIRS, 100, seed=seed)
     assert np.array_equal(first.counts, second.counts)
-    report_a = estimate_inequality(first, Functional.SVETLICHNY)
-    report_b = estimate_inequality(second, Functional.SVETLICHNY)
+    report_a = estimate_inequality(estimate_tensor(first), Functional.SVETLICHNY)
+    report_b = estimate_inequality(estimate_tensor(second), Functional.SVETLICHNY)
     assert report_a == report_b
 
 
@@ -300,8 +299,8 @@ def test_estimate_tensor_uniform_counts():
 def test_estimate_inequality_error_on_uniform_counts(n):
     # Every entry estimates 0 with error 1/sqrt(n); Mermin sums 4 of them.
     table = CountTable(np.full((2, 2, 2, 8), n // 8, dtype=np.int64), n)
-    mermin = estimate_inequality(table, Functional.MERMIN)
-    svetlichny = estimate_inequality(table, Functional.SVETLICHNY)
+    mermin = estimate_inequality(estimate_tensor(table), Functional.MERMIN)
+    svetlichny = estimate_inequality(estimate_tensor(table), Functional.SVETLICHNY)
     assert mermin.std_error == pytest.approx(2.0 / math.sqrt(n), rel=1e-15)
     assert svetlichny.std_error == pytest.approx(math.sqrt(8.0 / n), rel=1e-15)
 
@@ -312,14 +311,15 @@ def test_estimate_inequality_error_is_quadrature_over_sign_tensor():
         counts[i, j, k] = [10 + 3 * i, 7, 2 + 5 * j, 9, 4, 6 + 4 * k, 1, 0]
         counts[i, j, k, 7] = 100 - counts[i, j, k, :7].sum()
     table = CountTable(counts, 100)
-    _, entry_errors = estimate_tensor(table)
+    estimated = estimate_tensor(table)
+    entry_errors = estimated[1]
     mermin_terms = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
     expected = {
         Functional.MERMIN: math.sqrt(sum(entry_errors[idx] ** 2 for idx in mermin_terms)),
         Functional.SVETLICHNY: math.sqrt(float((entry_errors**2).sum())),
     }
     for functional, error in expected.items():
-        assert estimate_inequality(table, functional).std_error == pytest.approx(
+        assert estimate_inequality(estimated, functional).std_error == pytest.approx(
             error, rel=1e-14
         )
 
@@ -339,25 +339,18 @@ def test_count_table_validation():
         sample_counts(make_w(), COMMENT_PAIRS, 0, seed=1)
 
 
-def test_exact_path_report_for_tested_settings():
-    tensor = correlation_tensor(make_w(), COMMENT_PAIRS)
-    report = report_from_tensor(tensor, Functional.SVETLICHNY)
-    assert report.value == pytest.approx(3.0, abs=1e-9)
-    assert not report.violated
-    assert report.std_error == 0.0
-    assert report.z_score == -math.inf
-    assert report.classification is Classification.CONSISTENT_WITH_LOCAL
-
-
 def test_z_score_with_finite_error():
+    # Svetlichny sums all 8 entry errors in quadrature: 8 * 0.1**2 / 8 = 0.1**2.
     tensor = correlation_tensor(make_w(), OPTIMAL_PAIRS)
-    report = report_from_tensor(tensor, Functional.SVETLICHNY, std_error=0.1)
+    entry_errors = np.full((2, 2, 2), 0.1 / math.sqrt(8.0))
+    report = estimate_inequality((tensor, entry_errors), Functional.SVETLICHNY)
+    assert report.std_error == pytest.approx(0.1, rel=1e-15)
     assert report.z_score == pytest.approx((abs(report.value) - 4.0) / 0.1)
 
 
 def test_sampled_svetlichny_at_optimal_angles():
     table = sample_counts(make_w(), OPTIMAL_PAIRS, 100_000, seed=41)
-    report = estimate_inequality(table, Functional.SVETLICHNY)
+    report = estimate_inequality(estimate_tensor(table), Functional.SVETLICHNY)
     assert abs(report.value - S_V_OPTIMAL) < 5.0 * report.std_error
     assert report.z_score > 3.0
     assert report.classification is Classification.RULES_OUT_HYBRID
@@ -366,7 +359,7 @@ def test_sampled_svetlichny_at_optimal_angles():
 def test_sampled_half_visibility_does_not_violate():
     noisy = mix_with_white_noise(pure_to_density(make_w()), 0.5)
     table = sample_counts(noisy, OPTIMAL_PAIRS, 100_000, seed=43)
-    report = estimate_inequality(table, Functional.SVETLICHNY)
+    report = estimate_inequality(estimate_tensor(table), Functional.SVETLICHNY)
     assert abs(report.value - 0.5 * S_V_OPTIMAL) < 5.0 * report.std_error
     assert not report.violated
 
@@ -460,7 +453,7 @@ def test_each_setting_draws_from_its_own_stream(seed):
 
 def test_estimated_report_jsonable():
     table = sample_counts(make_w(), OPTIMAL_PAIRS, 1_000, seed=2)
-    report = estimate_inequality(table, Functional.MERMIN)
+    report = estimate_inequality(estimate_tensor(table), Functional.MERMIN)
     data = report.to_jsonable()
     assert data["functional"] == "mermin"
     assert data["std_error"] > 0.0
