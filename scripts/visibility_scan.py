@@ -11,7 +11,6 @@ from tribell import (
     correlation_tensor,
     critical_visibility,
     make_w,
-    pure_to_density,
     svetlichny_value,
     symmetric_pairs,
 )
@@ -19,10 +18,10 @@ from tribell import (
 PAIRS = symmetric_pairs(math.radians(35.264), math.radians(144.736))
 
 if __name__ == "__main__":
-    rho = pure_to_density(make_w())
+    state = StateTensor(make_w())
     print("visibility   |S_V|      violates hybrid bound 4")
     for v in np.linspace(0.0, 1.0, 21):
-        value = abs(svetlichny_value(correlation_tensor(StateTensor(rho, v), PAIRS)))
+        value = abs(svetlichny_value(correlation_tensor(StateTensor(state, v), PAIRS)))
         print(f"  {v:6.3f}    {value:8.5f}   {'yes' if value > 4.0 else 'no'}")
-    v_star = critical_visibility(rho, PAIRS, Functional.SVETLICHNY)
+    v_star = critical_visibility(state, PAIRS, Functional.SVETLICHNY)
     print(f"\ncritical visibility v* = {v_star:.6f}  (4/4.354 = {4.0 / 4.354:.6f})")

@@ -61,7 +61,7 @@ def _emit(args, payload, csv_rows, table_lines) -> None:
         text = render_csv(csv_rows())
     else:
         text = "\n".join(table_lines()) + "\n"
-    if args.output:
+    if args.output is not None:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
@@ -202,6 +202,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    shots.check_integer(args.restarts, "--restarts", 0, optimizer.MAX_RANDOM_RESTARTS)
     state = _prepare_state(args)
     config = optimizer.OptimizationConfig(seed=args.seed, random_restarts=args.restarts)
     functional = Functional(args.functional)
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random restarts, in [0, 2**64 - 1] (default 0)")
     p.add_argument("--restarts", type=int, default=0,
-                   help="extra random ascent starts beyond the grid seeds, "
+                   help="random ascent starts after the 8 fixed seeds, "
                         f"at most {optimizer.MAX_RANDOM_RESTARTS} (default 0)")
     p.set_defaults(func=cmd_optimize)
 
@@ -396,6 +397,8 @@ def main(argv=None) -> int:
     if getattr(args, "visibility", None) is not None and not 0.0 <= args.visibility <= 1.0:
         parser.error("--visibility must lie in [0, 1]")
     try:
+        if args.output == "":
+            raise ValueError("--output must be a file path, got ''")
         if hasattr(args, "seed"):
             shots.check_seed(args.seed, "--seed")
         return args.func(args)

@@ -1,11 +1,9 @@
 """Maximization of |S_M| or |S_V| over the six analyzer phases.
 
-A coarse exhaustive grid on the party-symmetric subspace (phi_a = phi_b =
-phi_c, phi'_a = phi'_b = phi'_c), scored as one separable matrix product
-(_grid_scores) and ranked on scores rounded to 9 decimals, ties in grid order,
-seeds exact block-coordinate ascent on the six-dimensional torus: S is
-linear in each party's weights g = (cos phi, -sin phi), so one party's best
-phases, the other two fixed, are closed form.
+Eight fixed party-symmetric seeds (_SEEDS), then any random restarts, start
+exact block-coordinate ascent on the six-dimensional torus: S is linear in
+each party's weights g = (cos phi, -sin phi), so one party's best phases, the
+other two fixed, are closed form.
 Block sweeps alone converge only linearly where the parties' phases are
 coupled, so each sweep after the first is followed by a saddle-free Newton
 step over all six phases, whose exact gradient and Hessian the trilinear form
@@ -26,13 +24,15 @@ from .polarimetry import TWO_PI, StateTensor, analyzer_weights, pauli_coefficien
 from .qstate import DensityMatrix, PureState
 from .shots import check_integer, check_seed
 
-#: Cells per phase axis of the symmetric seed grid: a 15 degree step.  A finer
-#: grid is not the lever for a better maximum; random_restarts is.
-_GRID_CELLS = 24
-_TOP_SEEDS = 10
-#: Grid scores are ranked rounded to this many decimals, so that equal scores
-#: tie exactly whatever their rounding noise.
-_TIE_DECIMALS = 9
+#: The symmetric seeds (phi, phi'), phi in {45, 135} and phi' in {45, 135, 225,
+#: 315} degrees, as (m, 6) phases: the 90 degree lattice at a 45 degree
+#: offset.  Shifting all six phases by 180 degrees maps S to -S, so the
+#: lattice's other eight points would only repeat these ascents.
+_SEEDS = np.tile(
+    np.radians([(phi, phi_prime) for phi in (45, 135) for phi_prime in (45, 135, 225, 315)]),
+    (1, 3),
+)
+_SEEDS.flags.writeable = False
 
 #: Cap on the random restarts of any valid config.
 MAX_RANDOM_RESTARTS = 10_000
@@ -48,6 +48,10 @@ MAX_RANDOM_RESTARTS = 10_000
 #: row stops long before the cap.
 _TOLERANCE = 1e-8
 _MAX_SWEEPS = 2000
+#: A field whose entries are all at most this share of max|K|, K the trilinear
+#: form, in magnitude is zero and keeps its phase: on a diagonal seed (phi = phi') a Mermin field is
+#: rounding noise, whose direction visibility would rescale into a new phase.
+_ZERO_FIELD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,9 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
     """Block-coordinate ascent of |S|, Newton-accelerated, from each row of x0 at once.
 
     With two parties fixed, S = sum_s g_s . v_s over the third party's settings
-    s, so g_s = v_s / |v_s| maximizes it, to |v_0| + |v_1|; a zero field keeps
-    its phase.  The sign of S is taken once per row, at its start.  A row
+    s, so g_s = v_s / |v_s| maximizes it, to |v_0| + |v_1|; a zero field (no
+    entry above _ZERO_FIELD * max|form|) keeps its phase.  The sign of S is
+    taken once per row, at its start.  A row
     sweeps parties a, b, c until no phase moves by more than `tolerance`
     radians in a sweep, or for at most `max_sweeps` sweeps, and then drops out
     of later sweeps, so its path does not depend on the other rows, except in
@@ -119,6 +124,7 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
     Returns the (m, 6) phases, the m values |S| and the m iteration counts.
     """
     blocks = [np.moveaxis(form, p, -1).reshape(16, 4) for p in range(3)]
+    floor = _ZERO_FIELD * np.abs(form).max()
     # The rows still ascending: their indices, phases, weights and signs of S.
     xs = np.array(x0, dtype=float).reshape(-1, 6)
     gs = analyzer_weights(xs).reshape(-1, 3, 4)
@@ -132,8 +138,8 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
         for party in range(3):
             field = (signs * _fields(blocks, gs, party)).reshape(-1, 2, 2)
             phi = _wrap(np.arctan2(-field[..., 1], field[..., 0]))
-            if not field.all():  # a zero field keeps its phase
-                zero = ~field.any(axis=-1)
+            zero = np.abs(field).max(axis=-1) <= floor
+            if zero.any():  # a zero field keeps its phase
                 phi[zero] = xs[:, 2 * party : 2 * party + 2][zero]
             xs[:, 2 * party : 2 * party + 2] = phi
             gs[:, party] = analyzer_weights(phi).reshape(-1, 4)
@@ -218,24 +224,6 @@ def _values(blocks, g: np.ndarray) -> np.ndarray:
     return (_fields(blocks, g, 2) * g[:, 2]).sum(axis=1)
 
 
-def _grid_scores(form: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """|S| at every symmetric grid point (phi, phi'), row-major in (phi, phi').
-
-    Every party's weights at (phi_i, phi'_j) are p = f_i * f'_j elementwise,
-    with f_i = (cos phi_i, -sin phi_i, 1, 1) and f'_j = (1, 1, cos phi'_j,
-    -sin phi'_j), so each entry of p (x) p (x) p is m_i[abc] m'_j[abc] for the
-    outer cubes m_i of f_i and m'_j of f'_j.  The n x n table of S is then one
-    (n, 64) @ (64, n) product, (M * K) M'^T.
-    """
-    g = analyzer_weights(grid)
-    ones = np.ones_like(g)
-    cubes = [
-        (f[:, :, None, None] * f[:, None, :, None] * f[:, None, None, :]).reshape(-1, 64)
-        for f in (np.concatenate((g, ones), axis=1), np.concatenate((ones, g), axis=1))
-    ]
-    return np.abs((cubes[0] * form.reshape(64)) @ cubes[1].T).reshape(-1)
-
-
 def optimize(
     state: PureState | DensityMatrix | StateTensor,
     functional: Functional,
@@ -243,26 +231,19 @@ def optimize(
 ) -> OptimizationResult:
     """Maximize |functional| over the six analyzer phases.
 
-    Candidates come in seed order: the best grid points, then the random
-    restarts in draw order.  The grid is scored by _grid_scores and ranked
-    highest score first on scores rounded to 9 decimals, smaller settings
-    first among equal scores ((phi, phi') in row-major order), so rounding
-    noise, such as a visibility's scaling of every score, picks no seed.  All
-    candidates ascend together, as one batch.  The first candidate whose value
-    lies within _TOLERANCE of the maximum over all candidates is reported.
-    The trace gains a point, at the ascent iterations run so far in seed
-    order, for each candidate that beats the best value before it by more
-    than _TOLERANCE, the margin within which values tie.
+    Candidates come in seed order: the eight _SEEDS, then the random restarts
+    in draw order.  All candidates ascend together, as one batch.  The first
+    candidate whose value lies within _TOLERANCE of the maximum over all
+    candidates is reported.  The trace has a point, at the ascent iterations
+    run so far in seed order, for the first candidate and for each later one
+    that beats the best value before it by more than _TOLERANCE, the margin
+    within which values tie.
     """
     if config is None:
         config = OptimizationConfig()
     form = _trilinear_form(state, functional)
 
-    n = _GRID_CELLS
-    grid = np.arange(n) * TWO_PI / n
-    scores = _grid_scores(form, grid)
-    top = np.argsort(-np.round(scores, _TIE_DECIMALS), kind="stable")[:_TOP_SEEDS]
-    seeds = np.tile(np.stack((grid[top // n], grid[top % n]), axis=1), (1, 3))
+    seeds = _SEEDS
     if config.random_restarts:
         # Only now, since the first default_rng call imports numpy.random.
         rng = np.random.default_rng(config.seed)
@@ -271,8 +252,7 @@ def optimize(
 
     x, values, iterations = _ascend(form, seeds, _TOLERANCE, _MAX_SWEEPS)
 
-    best_so_far = float(scores[top[0]])
-    trace = [(0, best_so_far)]
+    best_so_far, trace = -math.inf, []
     for total, f in zip(np.cumsum(iterations).tolist(), values.tolist()):
         if f > best_so_far + _TOLERANCE:
             best_so_far = f

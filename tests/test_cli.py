@@ -515,14 +515,16 @@ def test_output_in_missing_directory_exits_two(capsys, tmp_path):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--restarts", "1000000000000")])
+@pytest.mark.parametrize(
+    "flag, value", [("--restarts", "1000000000000"), ("--restarts", "10001"), ("--restarts", "-1")]
+)
 def test_optimize_rejects_unbounded_work(capsys, flag, value):
     code, out, err = run_cli(
         capsys, "optimize", "--state", "w", "--functional", "svetlichny", flag, value
     )
     assert code == 2
     assert out == ""
-    assert "must lie in" in json.loads(err)["error"]
+    assert json.loads(err)["error"] == f"{flag} must lie in [0, 10000], got {value}"
 
 
 def test_state_file_beyond_float_range_names_accepted_forms(capsys, tmp_path):
@@ -573,6 +575,14 @@ REQUESTS = {
     "correlations-angles": ["correlations", "--state", "w", "--angles", "90,90,0"],
     "correlations-pairs": ["correlations", "--state", "w", "--pairs", "90,0"],
 }
+
+
+@pytest.mark.parametrize("request_name", sorted(REQUESTS))
+def test_empty_output_path_exits_two_naming_the_flag(capsys, request_name):
+    code, out, err = run_cli(capsys, *REQUESTS[request_name], "--output", "")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "--output must be a file path, got ''"
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])

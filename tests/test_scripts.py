@@ -18,4 +18,5 @@ def test_visibility_scan_runs():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "   1.000     4.35465   yes\n" in proc.stdout
     assert "critical visibility v* = 0.918559" in proc.stdout

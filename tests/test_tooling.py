@@ -1,9 +1,14 @@
-"""The pytest settings in pyproject.toml report failures rather than abort on them."""
+"""Checks on the tooling around the package: the pytest settings in
+pyproject.toml report failures rather than abort on them, and the benchmark's
+span tracer still finds every entry point it wraps."""
 
+import importlib.util
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import tribell.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,3 +44,25 @@ def test_failing_property_test_is_reported_and_later_tests_run(tmp_path):
     assert "FAILED test_failing.py::test_property_fails" in output
     assert "FAILED test_failing.py::test_plain_fails" in output
     assert "Falsifying example" in output
+
+
+def _traced_object(name: str):
+    """The object a bench tracer name such as "qstate.as_density" wraps."""
+    module_name, attr = name.split(".")
+    original = getattr(importlib.import_module(f"tribell.{module_name}"), attr)
+    return original.__dict__["__post_init__"] if isinstance(original, type) else original
+
+
+def test_bench_tracer_wraps_every_traced_name_and_restores_it(monkeypatch):
+    # The tracer wraps entry points by name, so renaming a traced name in the
+    # package fails here, not only in a traced benchmark run.
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up there
+    spec.loader.exec_module(tracer)
+    originals = {name: _traced_object(name) for name in tracer.TRACED}
+    with tracer.Tracer() as spans:
+        assert all(_traced_object(name) is not originals[name] for name in tracer.TRACED)
+        assert tribell.cli.main(["lhv-scan", "--functional", "mermin", "--model", "local"]) == 0
+    assert {name: _traced_object(name) for name in tracer.TRACED} == originals
+    assert {"cli.main", "lhv.lhv_max"} <= {span.name for span in spans.spans}
