@@ -3,7 +3,9 @@
 Eight fixed party-symmetric seeds (_SEEDS), then any random restarts, start
 exact block-coordinate ascent on the six-dimensional torus: S is linear in
 each party's weights g = (cos phi, -sin phi), so one party's best phases, the
-other two fixed, are closed form.
+other two fixed, are closed form.  The ascent folds the sign of the X weight
+into the trilinear form and works with (cos phi, sin phi), which rounds
+exactly alike (_party_blocks).
 Block sweeps alone converge only linearly where the parties' phases are
 coupled, so each sweep after the first is followed by a saddle-free Newton
 step over all six phases, whose exact gradient and Hessian the trilinear form
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import SIGN_TENSOR, Functional, SettingsPair
-from .polarimetry import TWO_PI, StateTensor, analyzer_weights, pauli_coefficients
+from .polarimetry import TWO_PI, StateTensor, pauli_coefficients
 from .qstate import DensityMatrix, PureState
 from .shots import check_integer, check_seed
 
@@ -48,9 +50,10 @@ MAX_RANDOM_RESTARTS = 10_000
 #: row stops long before the cap.
 _TOLERANCE = 1e-8
 _MAX_SWEEPS = 2000
-#: A field whose entries are all at most this share of max|K|, K the trilinear
-#: form, in magnitude is zero and keeps its phase: on a diagonal seed (phi = phi') a Mermin field is
-#: rounding noise, whose direction visibility would rescale into a new phase.
+#: A field whose entries are all at most this share of max|K|, K the
+#: trilinear form, in magnitude is zero and keeps its phase: on a diagonal
+#: seed (phi = phi') a Mermin field is rounding noise, whose direction
+#: visibility would rescale into a new phase.
 _ZERO_FIELD = 1e-12
 
 
@@ -84,6 +87,15 @@ class OptimizationResult:
         }
 
 
+#: (-1)**(number of X indices) per entry of the 4x4x4 form, whose index per
+#: party runs over (Z, X) of phi, then of phi'.
+_X_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+_X_SIGNS = _X_SIGN[:, None, None] * _X_SIGN[:, None] * _X_SIGN
+#: Per party p: the other two parties, and the form's axes with p's last.
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+_BLOCK_AXES = ((1, 2, 0), (0, 2, 1), (0, 1, 2))
+
+
 def _trilinear_form(state: PureState | DensityMatrix | StateTensor, functional: Functional):
     """K[(i, u), (j, v), (k, w)] = c[i, j, k] T[u, v, w] as a 4x4x4 array.
 
@@ -91,67 +103,93 @@ def _trilinear_form(state: PureState | DensityMatrix | StateTensor, functional: 
     """
     coeffs = pauli_coefficients(state)[1:, 1:, 1:]
     signs = SIGN_TENSOR[Functional(functional)]
-    return np.einsum("ijk,uvw->iujvkw", signs, coeffs).reshape(4, 4, 4)
+    return np.multiply.outer(signs, coeffs).transpose(0, 3, 1, 4, 2, 5).reshape(4, 4, 4)
 
 
-def _fields(blocks, g: np.ndarray, party: int) -> np.ndarray:
-    """S = sum_k field[:, k] g[:, party, k]: the (m, 4) field on one party.
+def _party_blocks(form: np.ndarray) -> list:
+    """The form times _X_SIGNS, per party p as a 16x4 matrix with p's index last.
 
-    blocks[p] is the 4x4x4 form with party p's index moved last and the other
-    two parties' indices flattened in order, as a 16x4 matrix.
+    With the fold, S takes the weights (cos phi, sin phi) (_weights), and each
+    field comes out as with analyzer_weights' (cos phi, -sin phi), X entries
+    negated: negation is exact and rounding symmetric in sign.  The matrices
+    keep the memory order that reshaping the transposed form gives (party
+    a's is column-major), since numpy's one-row (matrix-vector) product
+    rounds by memory order.
     """
-    first, second = (q for q in range(3) if q != party)
-    pairs = (g[:, first, :, None] * g[:, second, None, :]).reshape(-1, 16)
-    return pairs @ blocks[party]
+    folded = form * _X_SIGNS
+    return [folded.transpose(axes).reshape(16, 4) for axes in _BLOCK_AXES]
+
+
+def _weights(phases: np.ndarray) -> np.ndarray:
+    """(cos phi, sin phi) of each phase on a new last axis: the form's weights."""
+    weights = np.empty(phases.shape + (2,))
+    np.cos(phases, out=weights[..., 0])
+    np.sin(phases, out=weights[..., 1])
+    return weights
+
+
+def _fields(blocks: list, g: np.ndarray, party: int) -> np.ndarray:
+    """S = sum_k field[:, k] g[:, party, k]: the (m, 4) field on one party."""
+    first, second = _OTHERS[party]
+    return (g[:, first, :, None] * g[:, second, None, :]).reshape(-1, 16) @ blocks[party]
 
 
 def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
     """Block-coordinate ascent of |S|, Newton-accelerated, from each row of x0 at once.
 
     With two parties fixed, S = sum_s g_s . v_s over the third party's settings
-    s, so g_s = v_s / |v_s| maximizes it, to |v_0| + |v_1|; a zero field (no
-    entry above _ZERO_FIELD * max|form|) keeps its phase.  The sign of S is
-    taken once per row, at its start.  A row
-    sweeps parties a, b, c until no phase moves by more than `tolerance`
-    radians in a sweep, or for at most `max_sweeps` sweeps, and then drops out
-    of later sweeps, so its path does not depend on the other rows, except in
-    the last-bit rounding of the batched products, which varies with the
-    number of rows still ascending.  Block ascent alone converges only
-    linearly where the parties' phases are coupled (W takes hundreds of
-    sweeps), so after each sweep from the second on, a row that has not
-    stopped also takes one saddle-free Newton step over all six phases
-    (_newton_step).  An iteration is a sweep plus at most one Newton step.
+    s, so g_s = v_s / |v_s| maximizes it, to |v_0| + |v_1|: each phase is the
+    arctan2 of its field's X and Z entries, X sign folded in (_party_blocks).
+    A zero field (no entry above _ZERO_FIELD * max|form|) keeps its phase.
+    The sign of S is taken once per row, at its start.  A row sweeps parties
+    a, b, c until no phase moves by more than `tolerance` radians in a sweep,
+    or for at most `max_sweeps` sweeps, and then drops out of later sweeps, so
+    its path does not depend on the other rows, except in the last-bit
+    rounding of numpy's products, whose kernel can change with the number of
+    rows (one row takes the matrix-vector path).  Block ascent alone
+    converges only linearly where the parties' phases are coupled (W takes
+    hundreds of sweeps), so after each sweep from the second on, a row that
+    has not stopped also takes one saddle-free Newton step over all six
+    phases (_newton_step).  An iteration is a sweep plus at most
+    one Newton step.  A sweep that lands exactly on a stationary point of |S|
+    stops its row there, even on a saddle, whose Newton step is zero.
     Returns the (m, 6) phases, the m values |S| and the m iteration counts.
     """
-    blocks = [np.moveaxis(form, p, -1).reshape(16, 4) for p in range(3)]
+    blocks = _party_blocks(form)
     floor = _ZERO_FIELD * np.abs(form).max()
     # The rows still ascending: their indices, phases, weights and signs of S.
     xs = np.array(x0, dtype=float).reshape(-1, 6)
-    gs = analyzer_weights(xs).reshape(-1, 3, 4)
+    gs = _weights(xs).reshape(-1, 3, 4)
     rows = np.arange(len(xs))
     signs = np.where(_values(blocks, gs) >= 0.0, 1.0, -1.0)[:, None]
     x, g, sweeps = np.empty_like(xs), np.empty_like(gs), np.zeros(len(xs), dtype=int)
     sweep = 0
     while rows.size:
         sweep += 1
-        start = xs.copy()
+        swept = np.empty_like(xs)
         for party in range(3):
-            field = (signs * _fields(blocks, gs, party)).reshape(-1, 2, 2)
-            phi = _wrap(np.arctan2(-field[..., 1], field[..., 0]))
-            zero = np.abs(field).max(axis=-1) <= floor
-            if zero.any():  # a zero field keeps its phase
-                phi[zero] = xs[:, 2 * party : 2 * party + 2][zero]
-            xs[:, 2 * party : 2 * party + 2] = phi
-            gs[:, party] = analyzer_weights(phi).reshape(-1, 4)
+            field = _fields(blocks, gs, party)
+            field *= signs
+            field = field.reshape(-1, 2, 2)
+            cols = slice(2 * party, 2 * party + 2)
+            phi = _wrap(np.arctan2(field[..., 1], field[..., 0], out=swept[:, cols]))
+            magnitude = np.abs(field)
+            if magnitude.min() <= floor:  # a zero field, if any, keeps its phase
+                zero = magnitude.max(axis=-1) <= floor
+                phi[zero] = xs[:, cols][zero]
+            np.cos(phi, out=gs[:, party, 0::2])
+            np.sin(phi, out=gs[:, party, 1::2])
         # Each phase moves once per sweep, so its move is its change over the sweep.
-        moved = circular_distance(xs, start).max(axis=1)
+        moved = circular_distance(swept, xs).max(axis=1)
+        xs = swept
         done = (moved <= tolerance) | (sweep == max_sweeps)
         if done.any():
-            x[rows[done]], g[rows[done]], sweeps[rows[done]] = xs[done], gs[done], sweep
-            rows, xs, gs, signs = rows[~done], xs[~done], gs[~done], signs[~done]
+            ended, left = rows[done], ~done
+            x[ended], g[ended], sweeps[ended] = xs[done], gs[done], sweep
+            rows, xs, gs, signs = rows[left], xs[left], gs[left], signs[left]
         if sweep >= 2 and rows.size:
             xs = _newton_step(blocks, xs, gs, signs)
-            gs = analyzer_weights(xs).reshape(-1, 3, 4)
+            gs = _weights(xs).reshape(-1, 3, 4)
     return x, np.abs(_values(blocks, g)), sweeps
 
 
@@ -165,36 +203,60 @@ _FLAT_EIGENVALUE = 1e-9
 #: reach far below 1/8 for the step to be kept.
 _BACKTRACK_SCALES = 2.0 ** -np.arange(11.0)
 _VALUE_SLACK = 1e-13
+#: The scales in the batches they are scored in: the full and the half step
+#: for every row, then the rest for the rows that reject both.  Two scales,
+#: not one, keep even a lone row's trials in numpy's matrix-matrix product;
+#: its one-row (matrix-vector) path rounds differently.
+_BACKTRACK_BATCHES = (_BACKTRACK_SCALES[:2], _BACKTRACK_SCALES[2:])
 
 
-def _newton_step(blocks, x: np.ndarray, g: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def _hessian_layout():
+    """Flat indices of the (3, 4, 3, 4) weight Hessian's off-diagonal blocks,
+    and their sources in _newton_step's three concatenated 4x4 party blocks:
+    parties (p, q) take the third party's block, transposed where p > q.
+    """
+    party, weight, other, other_weight = np.indices((3, 4, 3, 4)).reshape(4, -1)
+    into = np.flatnonzero(party != other)
+    source = (3 - party - other) * 16 + np.where(
+        party < other, 4 * weight + other_weight, 4 * other_weight + weight
+    )
+    return into, source[into]
+
+
+_HESS_INTO, _HESS_FROM = _hessian_layout()
+#: d(cos phi, sin phi)/dphi = (-sin phi, cos phi): the weights reversed, times this.
+_TANGENT = np.array([-1.0, 1.0])
+
+
+def _newton_step(blocks: list, x: np.ndarray, g: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """One saddle-free Newton step of f = sign * S at each row of the (m, 6) phases.
 
     S is trilinear in the three parties' 4-vectors of weights, so its Hessian
     over all twelve weights has a zero block per party and, between parties p
     and q, the form with the third party's weights contracted; the gradient
-    is half that Hessian times the weights.  Since d(cos phi, -sin phi)/dphi
-    = (-sin phi, -cos phi) and the second derivative is -g, the phase gradient
-    is field . dg and the phase Hessian dg^T H dg with -field . g added on its
-    diagonal.  The step V |L|^-1 V^T grad over the eigenpairs (L, V) that are
-    not flat ascends f also near a saddle (Dauphin et al., 2014).  It is tried
-    at each of _BACKTRACK_SCALES in turn, and the first trial no lower than f
-    (within _VALUE_SLACK) is kept; a row with none keeps its phases.
+    is half that Hessian times the weights.  The weights are g = (cos phi,
+    sin phi), the form's sign convention, so dg/dphi = (-sin phi, cos phi)
+    and the second derivative is -g: the phase gradient is field . dg and the
+    phase Hessian dg^T H dg with -field . g added on its diagonal.  The step
+    V |L|^-1 V^T grad over the eigenpairs (L, V) that are not flat ascends f
+    also near a saddle (Dauphin et al., 2014).  A row takes the first of
+    _BACKTRACK_SCALES whose trial is no lower than f (within _VALUE_SLACK),
+    or keeps its phases if none is; the full and half steps are scored
+    first, the smaller scales only for the rows that reject both.
     """
     m = len(x)
-    hess = np.zeros((m, 3, 4, 3, 4))
-    for party in range(3):
-        first, second = (q for q in range(3) if q != party)
-        pair = signs[:, :, None] * (g[:, party] @ blocks[party].T).reshape(-1, 4, 4)
-        hess[:, first, :, second, :] = pair
-        hess[:, second, :, first, :] = pair.transpose(0, 2, 1)
+    pairs = np.concatenate([g[:, p] @ blocks[p].T for p in range(3)], axis=1)
+    pairs *= signs
+    hess = np.zeros((m, 144))
+    hess[:, _HESS_INTO] = pairs[:, _HESS_FROM]
     hess = hess.reshape(m, 6, 2, 6, 2)
     w = g.reshape(m, 6, 2)
     field = np.einsum("mikjl,mjl->mik", hess, w) / 2.0
-    dw = np.stack((w[..., 1], -w[..., 0]), axis=-1)
+    dw = w[..., ::-1] * _TANGENT
     grad = (field * dw).sum(axis=-1)
     h = np.einsum("mik,mikjl,mjl->mij", dw, hess, dw)
-    h[:, np.arange(6), np.arange(6)] -= (field * w).sum(axis=-1)
+    diagonal = np.einsum("mii->mi", h)  # a view into h
+    diagonal -= (field * w).sum(axis=-1)
 
     lam, vec = np.linalg.eigh(h)
     size = np.abs(lam)
@@ -204,22 +266,32 @@ def _newton_step(blocks, x: np.ndarray, g: np.ndarray, signs: np.ndarray) -> np.
 
     # Scored by _values like the trials, so both sides of the test round alike.
     value = signs[:, 0] * _values(blocks, g)
-    trials = x[:, None, :] + _BACKTRACK_SCALES[None, :, None] * step[:, None, :]
-    trial_g = analyzer_weights(trials).reshape(-1, 3, 4)
-    trial_values = signs * _values(blocks, trial_g).reshape(m, -1)
-    ok = trial_values >= (value - _VALUE_SLACK * np.abs(value))[:, None]
-    chosen = _wrap(trials[np.arange(m), ok.argmax(axis=1)])
-    return np.where(ok.any(axis=1)[:, None], chosen, x)
+    least = value - _VALUE_SLACK * np.abs(value)
+    out, rows = x.copy(), np.arange(m)
+    for scales in _BACKTRACK_BATCHES:
+        trials = x[:, None, :] + scales[:, None] * step[:, None, :]
+        trial_values = _values(blocks, _weights(trials).reshape(-1, 3, 4)).reshape(len(x), -1)
+        ok = signs * trial_values >= least[:, None]
+        found = ok.any(axis=1)
+        out[rows[found]] = _wrap(trials[found, ok[found].argmax(axis=1)])
+        if found.all():
+            break
+        left = ~found
+        rows, x, step, signs, least = rows[left], x[left], step[left], signs[left], least[left]
+    return out
 
 
 def _wrap(phi: np.ndarray) -> np.ndarray:
-    """Phases wrapped to [0, 2*pi), as wrap_phase does."""
-    phi = phi % TWO_PI
-    phi[phi >= TWO_PI] = 0.0
-    return phi
+    """The phases wrapped in place to [0, 2*pi), as wrap_phase does.
+
+    The remainder rounds a tiny negative phase up to 2*pi, and fmod, exact,
+    takes that to 0 and keeps the rest.
+    """
+    np.remainder(phi, TWO_PI, out=phi)
+    return np.fmod(phi, TWO_PI, out=phi)
 
 
-def _values(blocks, g: np.ndarray) -> np.ndarray:
+def _values(blocks: list, g: np.ndarray) -> np.ndarray:
     """S at each row of the (m, 3, 4) party weights g."""
     return (_fields(blocks, g, 2) * g[:, 2]).sum(axis=1)
 

@@ -1,5 +1,6 @@
-"""Shared random-instance builders, the Kronecker analyzer reference and
-settings-equivalence helpers for the tests.
+"""Shared random-instance builders, the Kronecker analyzer reference, the
+all-scales Newton step reference and settings-equivalence helpers for the
+tests.
 
 The analyzer kets, projectors and observables below are built from the
 circular basis as 2x2 matrices, independently of the (Z, X) weights the
@@ -11,9 +12,10 @@ import math
 
 import numpy as np
 
-from tribell import DensityMatrix, PureState, SettingsPair
-from tribell.optimizer import circular_distance
-from tribell.polarimetry import wrap_phase
+from tribell import DensityMatrix, Functional, PureState, SettingsPair
+from tribell.inequalities import SIGN_TENSOR
+from tribell.optimizer import _BACKTRACK_SCALES, _FLAT_EIGENVALUE, _VALUE_SLACK, circular_distance
+from tribell.polarimetry import TWO_PI, analyzer_weights, pauli_coefficients, wrap_phase
 
 KET_R = np.array([1.0, -1.0j]) / math.sqrt(2.0)
 KET_L = np.array([1.0, 1.0j]) / math.sqrt(2.0)
@@ -98,3 +100,55 @@ def min_symmetry_distance(settings, reference) -> float:
         settings_distance(equivalent, reference)
         for equivalent in objective_symmetries(settings)
     )
+
+
+def reference_newton_step(state, functional, x, signs):
+    """The saddle-free Newton step of f = sign * S, every backtracking scale tried.
+
+    The optimizer's step written without its shortcuts: the form is built by
+    einsum in the weights g = (cos phi, -sin phi) of analyzer_weights, each
+    party's block by np.moveaxis, and the Hessian block by block.  Every row
+    scores all of _BACKTRACK_SCALES and keeps the first trial no lower than f
+    (within _VALUE_SLACK).  Returns the new (m, 6) phases and, per row, the
+    index of the scale kept, len(_BACKTRACK_SCALES) where none was.
+    """
+    coeffs = pauli_coefficients(state)[1:, 1:, 1:]
+    form = np.einsum(
+        "ijk,uvw->iujvkw", SIGN_TENSOR[Functional(functional)], coeffs
+    ).reshape(4, 4, 4)
+    blocks = [np.moveaxis(form, p, -1).reshape(16, 4) for p in range(3)]
+
+    def values(g):
+        pairs = (g[:, 0, :, None] * g[:, 1, None, :]).reshape(-1, 16)
+        return ((pairs @ blocks[2]) * g[:, 2]).sum(axis=1)
+
+    m = len(x)
+    g = analyzer_weights(x).reshape(-1, 3, 4)
+    hess = np.zeros((m, 3, 4, 3, 4))
+    for party in range(3):
+        first, second = (q for q in range(3) if q != party)
+        pair = signs[:, :, None] * (g[:, party] @ blocks[party].T).reshape(-1, 4, 4)
+        hess[:, first, :, second, :] = pair
+        hess[:, second, :, first, :] = pair.transpose(0, 2, 1)
+    hess = hess.reshape(m, 6, 2, 6, 2)
+    w = g.reshape(m, 6, 2)
+    field = np.einsum("mikjl,mjl->mik", hess, w) / 2.0
+    dw = np.stack((w[..., 1], -w[..., 0]), axis=-1)
+    grad = (field * dw).sum(axis=-1)
+    h = np.einsum("mik,mikjl,mjl->mij", dw, hess, dw)
+    h[:, np.arange(6), np.arange(6)] -= (field * w).sum(axis=-1)
+
+    lam, vec = np.linalg.eigh(h)
+    size = np.abs(lam)
+    kept = size > _FLAT_EIGENVALUE * size.max(axis=1, keepdims=True)
+    along = np.einsum("mji,mj->mi", vec, grad) / np.where(kept, size, np.inf)
+    step = np.einsum("mij,mj->mi", vec, along)
+
+    value = signs[:, 0] * values(g)
+    trials = x[:, None, :] + _BACKTRACK_SCALES[None, :, None] * step[:, None, :]
+    trial_values = signs * values(analyzer_weights(trials).reshape(-1, 3, 4)).reshape(m, -1)
+    ok = trial_values >= (value - _VALUE_SLACK * np.abs(value))[:, None]
+    chosen = trials[np.arange(m), ok.argmax(axis=1)] % TWO_PI
+    chosen[chosen >= TWO_PI] = 0.0
+    found = ok.any(axis=1)
+    return np.where(found[:, None], chosen, x), np.where(found, ok.argmax(axis=1), ok.shape[1])

@@ -14,6 +14,7 @@ from helpers import (
     random_angles,
     random_density,
     random_pure,
+    reference_newton_step,
     settings_distance,
 )
 from tribell import (
@@ -35,10 +36,14 @@ from tribell import optimizer
 from tribell.cli import NAMED_STATES
 from tribell.optimizer import (
     MAX_RANDOM_RESTARTS,
+    _MAX_SWEEPS,
+    _SEEDS,
     _TOLERANCE,
     _ascend,
     _newton_step,
+    _party_blocks,
     _trilinear_form,
+    _weights,
     circular_distance,
 )
 
@@ -160,6 +165,84 @@ def test_default_runs_trace_only_real_improvements(state, functional, trace_swee
     assert all(b > a + _TOLERANCE for a, b in zip(values, values[1:]))
 
 
+# W's Mermin maximum and the saddle where half of its seeds stop.
+_W_MERMIN, _W_MERMIN_SADDLE = 3.045956005991808, 3.041035208539221
+
+
+@pytest.mark.parametrize(
+    "name, functional, iterations, values",
+    [
+        ("w", Functional.MERMIN, [8, 3, 8, 3, 3, 8, 3, 8],
+         [_W_MERMIN, _W_MERMIN_SADDLE] * 2 + [_W_MERMIN_SADDLE, _W_MERMIN] * 2),
+        ("w", Functional.SVETLICHNY, [6, 5, 6, 5, 5, 6, 5, 6],
+         [4.0, 16.0 * math.sqrt(6.0) / 9.0] * 2 + [16.0 * math.sqrt(6.0) / 9.0, 4.0] * 2),
+        ("ghz-rl", Functional.MERMIN, [3, 2, 3, 2, 2, 3, 2, 3], [4.0] * 8),
+        ("ghz-rl", Functional.SVETLICHNY, [2, 1, 2, 2, 1, 2, 2, 2],
+         [4.0, 4.0 * math.sqrt(2.0)] * 2 + [4.0 * math.sqrt(2.0), 4.0] * 2),
+        ("ghz-hv", Functional.MERMIN, [2] * 8, [2.0] * 8),
+        ("ghz-hv", Functional.SVETLICHNY, [2] * 8, [4.0] * 8),
+    ],
+)
+def test_each_seeds_ascent_of_the_named_states(name, functional, iterations, values):
+    # Pinned per seed, so a change to the ascent's arithmetic that moves any
+    # seed's path shows here.  The seeds at W's Mermin 3.041035, and at 4.0
+    # on W's and ghz-rl's Svetlichny, stop on saddles of |S|; the other seeds
+    # reach the maxima.
+    form = _trilinear_form(NAMED_STATES[name], functional)
+    _, found, counts = _ascend(form, _SEEDS, _TOLERANCE, _MAX_SWEEPS)
+    assert counts.tolist() == iterations
+    assert np.abs(found - values).max() <= 1e-12
+
+
+def _newton_steps_with_reference(state, starts):
+    """Every Newton step of both functionals' ascents from `starts`.
+
+    Returns (phases, reference phases, reference scale indices) per step.
+    """
+    steps = []
+    for functional in Functional:
+        def recording(blocks, x, g, signs, functional=functional):
+            out = _newton_step(blocks, x, g, signs)
+            # A copy, since the ascent's next sweep writes into its phases.
+            steps.append((out.copy(), *reference_newton_step(state, functional, x, signs)))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer, "_newton_step", recording)
+            _ascend(_trilinear_form(state, functional), starts, _TOLERANCE, _MAX_SWEEPS)
+    return steps
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_newton_step_matches_the_all_scales_reference(seed):
+    rng = np.random.default_rng(seed)
+    state = random_density(rng)
+    starts = rng.uniform(0.0, 2.0 * math.pi, (int(rng.integers(1, 9)), 6))
+    for phases, expected, _ in _newton_steps_with_reference(state, starts):
+        assert np.array_equal(phases, expected)
+
+
+@pytest.mark.parametrize(
+    "state, starts, rejected",
+    [
+        # The state of test_newton_step_backtracks_far_enough_on_a_small_curvature:
+        # 40 of its 76 Mermin row-steps and 2 of 26 Svetlichny ones reject the
+        # full step.
+        (random_density(np.random.default_rng(909)),
+         np.random.default_rng(909).uniform(0.0, 2.0 * math.pi, (10, 6)), (42, 102)),
+        (NAMED_STATES["w"], _SEEDS, (12, 56)),
+    ],
+    ids=["random-density-909", "w"],
+)
+def test_newton_step_matches_the_reference_where_full_steps_fail(state, starts, rejected):
+    steps = _newton_steps_with_reference(state, starts)
+    for phases, expected, _ in steps:
+        assert np.array_equal(phases, expected)
+    scales = np.concatenate([scale for _, _, scale in steps])
+    assert (int(np.count_nonzero(scales)), scales.size) == rejected
+
+
 def _finite_differences(value, x, h=1e-4):
     """Central-difference gradient and Hessian of `value` at the six phases x."""
     steps = np.eye(6) * h
@@ -214,13 +297,13 @@ def test_newton_step_never_descends_and_ascent_ends_at_local_maxima(seed):
     starts = rng.uniform(0.0, 2.0 * math.pi, (4, 6))
     for functional in Functional:
         form = _trilinear_form(rho, functional)
-        blocks = [np.moveaxis(form, p, -1).reshape(16, 4) for p in range(3)]
+        blocks = _party_blocks(form)
         # From the random starts, and from where one block sweep takes them.
         swept, _, _ = _ascend(form, starts, 1e-8, 1)
         x = np.concatenate((starts, swept))
         before = _form_values(form, x)
         signs = np.where(before >= 0.0, 1.0, -1.0)[:, None]
-        g = np.stack((np.cos(x), -np.sin(x)), axis=-1).reshape(-1, 3, 4)
+        g = _weights(x).reshape(-1, 3, 4)
         after = signs[:, 0] * _form_values(form, _newton_step(blocks, x, g, signs))
         assert np.all(after >= np.abs(before) * (1.0 - 1e-13))
         ends, values, iterations = _ascend(form, starts, 1e-8, 2000)
