@@ -47,9 +47,7 @@ from .qstate import (
     as_density,
     make_ghz,
     make_w,
-    maximally_mixed,
     mix_with_white_noise,
-    pure_to_density,
     state_from_jsonable,
 )
 from .shots import (

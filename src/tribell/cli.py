@@ -238,6 +238,7 @@ def cmd_lhv_scan(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    shots.check_integer(args.shots, "--shots", 1, shots.MAX_SHOTS_PER_SETTING, "2**63 - 1")
     state = _prepare_state(args)
     pairs = _parse_pairs(args.pairs, args.radians)
     table = shots.sample_counts(state, pairs, args.shots, args.seed)
@@ -392,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sample" and args.shots < 1:
-        parser.error("--shots must be at least 1")
     if getattr(args, "visibility", None) is not None and not 0.0 <= args.visibility <= 1.0:
         parser.error("--visibility must lie in [0, 1]")
     try:

@@ -14,9 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polarimetry import (
-    _CORRELATION, StateTensor, _born, _in_range, analyzer_weights, wrap_phase,
-)
+from .polarimetry import _CORRELATION, StateTensor, _correlations, _in_range, wrap_phase
 from .qstate import DensityMatrix, PureState
 
 
@@ -133,13 +131,12 @@ def correlation_tensor(
 ) -> CorrelationTensor:
     """Evaluate all eight correlations for a two-settings-per-party scenario.
 
-    Each party's two observables are (I, Z, X) weight rows (0, g) contracted
-    with the state's coefficient tensor, so the state is read once per tensor.
+    Each party's two (Z, X) weights are contracted with the Z/X block of the
+    state's coefficient tensor (polarimetry._correlations), so the state is
+    read once per tensor.
     """
-    phases = [wrap_phase(phi) for p in party_pairs(pairs) for phi in (p.phi, p.phi_prime)]
-    weights = np.zeros((3, 2, 3))  # party, setting, (I, Z, X)
-    weights[:, :, 1:] = analyzer_weights(phases).reshape(3, 2, 2)
-    return CorrelationTensor(_born(state, weights))
+    phases = [[wrap_phase(p.phi), wrap_phase(p.phi_prime)] for p in party_pairs(pairs)]
+    return CorrelationTensor(_correlations(state, phases))
 
 
 def mermin_value(tensor: CorrelationTensor) -> float:

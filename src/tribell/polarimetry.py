@@ -9,9 +9,11 @@ The analyzer is represented by its (Z, X) weights g = (cos(phi), -sin(phi))
 alone (analyzer_weights).  The observable is (0, g) in the (I, Z, X) basis
 and its port projectors (I +- sigma(phi))/2 are (1, +-g)/2, so a state enters
 every correlation and outcome probability only through its 27 coefficients
-Re tr(rho P_u x P_v x P_w), P in (I, Z, X) (pauli_coefficients).  Each
-Born-rule number is that tensor contracted with one (I, Z, X) weight row per
-party (_born).  A StateTensor holds the tensor read-only, so every
+Re tr(rho P_u x P_v x P_w), P in (I, Z, X) (pauli_coefficients).  Every
+correlation, one or a tensor of eight, is the Z/X block contracted with one
+weight pair g per party and setting (_correlations); every outcome
+probability is the full tensor contracted with one port row per party
+(_born).  A StateTensor holds the tensor read-only, so every
 correlation or distribution it feeds is only the contraction; a PureState or
 DensityMatrix passed in its place is expanded afresh on each call.  A
 PureState's projector np.outer(a, a*) is expanded directly, never built or
@@ -31,9 +33,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .qstate import (
-    EIGENVALUE_ATOL, HERMITIAN_ATOL, TRACE_ATOL, DensityMatrix, PureState, as_density,
-)
+from .qstate import EIGENVALUE_ATOL, HERMITIAN_ATOL, TRACE_ATOL, DensityMatrix, PureState
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,6 +133,18 @@ def _born(state: PureState | DensityMatrix | StateTensor, weights) -> np.ndarray
     return np.einsum("iu,jv,kw,uvw->ijk", a, b, c, pauli_coefficients(state))
 
 
+def _correlations(state: PureState | DensityMatrix | StateTensor, phases) -> np.ndarray:
+    """E[i, j, k] = sum g_a[i, u] g_b[j, v] g_c[k, w] T[1+u, 1+v, 1+w], before _in_range.
+
+    phases holds two wrapped phases per party, shape (3, 2), and g their
+    analyzer_weights.  An entry depends only on its own three phases, so it
+    comes out bitwise the same whatever the other phases are.
+    """
+    g = analyzer_weights(phases)
+    coeffs = pauli_coefficients(state)[1:, 1:, 1:]
+    return np.einsum("iu,jv,kw,uvw->ijk", g[0], g[1], g[2], coeffs)
+
+
 def _izx_expansion(state: PureState | DensityMatrix) -> np.ndarray:
     """The coefficient tensor of a state, computed afresh and marked read-only.
 
@@ -142,8 +154,10 @@ def _izx_expansion(state: PureState | DensityMatrix) -> np.ndarray:
     if isinstance(state, PureState):
         amps = state.amplitudes
         rho = np.outer(amps, amps.conj())
+    elif isinstance(state, DensityMatrix):
+        rho = state.entries
     else:
-        rho = as_density(state).entries
+        raise ValueError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
     entries, paulis = rho.real.reshape((2,) * 6), _PAULI_IZX
     coeffs = np.einsum("abcdef,uda,veb,wfc->uvw", entries, paulis, paulis, paulis)
     coeffs.flags.writeable = False
@@ -250,16 +264,15 @@ def outcome_distribution(
 
 
 def correlation(state: PureState | DensityMatrix | StateTensor, settings) -> float:
-    """Expectation of the product of the three +-1 outcomes, tr(rho sa x sb x sc)."""
+    """Expectation of the product of the three +-1 outcomes, tr(rho sa x sb x sc).
+
+    The [0, 0, 0] entry of _correlations with each party's phase given twice,
+    so it equals bitwise the entry of any correlation_tensor at these phases.
+    """
     phis = tuple(float(p) for p in settings)
     if len(phis) != 3:
         raise ValueError(f"expected 3 analyzer settings, got {len(phis)}")
-    g = analyzer_weights([wrap_phase(phi) for phi in phis])
-    # Its own Z/X einsum, not _born with one (0, g) row per party: einsum sums
-    # that in another order, moving about a third of a general state's values
-    # by one ulp.
-    coeffs = pauli_coefficients(state)[1:, 1:, 1:]
-    value = np.einsum("u,v,w,uvw->", g[0], g[1], g[2], coeffs)
+    value = _correlations(state, [[wrap_phase(phi)] * 2 for phi in phis])[0, 0, 0]
     return float(_in_range(value, _CORRELATION, "correlation"))
 
 

@@ -112,19 +112,6 @@ def make_ghz(basis: str = "linear_hv") -> PureState:
     return PureState(amps)
 
 
-def pure_to_density(state: PureState) -> DensityMatrix:
-    """Rank-1 projector |s><s| of a pure state."""
-    if not isinstance(state, PureState):
-        raise ValueError("pure_to_density expects a PureState")
-    amps = state.amplitudes
-    return DensityMatrix(np.outer(amps, amps.conj()))
-
-
-def maximally_mixed() -> DensityMatrix:
-    """The white-noise state, identity/8."""
-    return DensityMatrix(np.eye(DIM, dtype=complex) / DIM)
-
-
 def mix_with_white_noise(rho: DensityMatrix, v: float) -> DensityMatrix:
     """Visibility mixture v*rho + (1-v)*identity/8."""
     v = float(v)
@@ -139,7 +126,8 @@ def as_density(state: PureState | DensityMatrix) -> DensityMatrix:
     if isinstance(state, DensityMatrix):
         return state
     if isinstance(state, PureState):
-        return pure_to_density(state)
+        amps = state.amplitudes
+        return DensityMatrix(np.outer(amps, amps.conj()))
     raise ValueError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 

@@ -1,6 +1,6 @@
-"""Shared random-instance builders, the Kronecker analyzer reference, the
-all-scales Newton step reference and settings-equivalence helpers for the
-tests.
+"""Shared random-instance builders, reference density matrices, the Kronecker
+analyzer reference, the all-scales Newton step reference and
+settings-equivalence helpers for the tests.
 
 The analyzer kets, projectors and observables below are built from the
 circular basis as 2x2 matrices, independently of the (Z, X) weights the
@@ -39,6 +39,17 @@ def analyzer_observable(phi: float) -> np.ndarray:
     """The +-1-valued analyzer observable, equal to cos(phi) Z - sin(phi) X."""
     proj_plus, proj_minus = analyzer_projectors(phi)
     return proj_plus - proj_minus
+
+
+def pure_to_density(state: PureState) -> DensityMatrix:
+    """Rank-1 projector |s><s| of a pure state, validated as a DensityMatrix."""
+    amps = state.amplitudes
+    return DensityMatrix(np.outer(amps, amps.conj()))
+
+
+def maximally_mixed() -> DensityMatrix:
+    """The white-noise state, identity/8."""
+    return DensityMatrix(np.eye(8, dtype=complex) / 8)
 
 
 def random_pure(rng) -> PureState:

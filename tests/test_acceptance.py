@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     analyzer_observable,
     min_symmetry_distance,
+    pure_to_density,
     random_angles,
     random_density,
     random_pure,
@@ -40,7 +41,6 @@ from tribell import (
     mixture_tensor,
     optimize,
     outcome_distribution,
-    pure_to_density,
     sample_counts,
     strategy_tensor,
     svetlichny_value,

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_density
 from tribell import (
     CorrelationTensor, Functional, StateTensor, cli, make_ghz, make_w, polarimetry, qstate, shots,
 )
@@ -155,9 +156,10 @@ def test_sample_csv_counts(capsys):
 
 
 def test_sample_rejects_zero_shots(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["sample", "--state", "w", "--pairs", "90,0", "--shots", "0"])
-    assert excinfo.value.code == 2
+    code, out, err = run_cli(capsys, "sample", "--state", "w", "--pairs", "90,0", "--shots", "0")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "--shots must lie in [1, 2**63 - 1], got 0"
 
 
 def test_sample_rejects_shots_beyond_int64(capsys):
@@ -166,7 +168,7 @@ def test_sample_rejects_shots_beyond_int64(capsys):
     )
     assert code == 2
     assert out == ""
-    assert "2**63 - 1" in json.loads(err)["error"]
+    assert json.loads(err)["error"] == f"--shots must lie in [1, 2**63 - 1], got {2**63}"
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -298,9 +300,9 @@ def test_usage_error_leaves_no_trace_in_the_next_request(capsys):
     cli.build_parser.cache_clear()
     fresh = run_cli(capsys, *argv)
     with pytest.raises(SystemExit) as excinfo:
-        cli.main(["sample", "--state", "w", "--pairs", "90,0", "--shots", "0"])
+        cli.main(["sample", "--state", "w", "--pairs", "90,0", "--shots", "abc"])
     assert excinfo.value.code == 2
-    assert "--shots must be at least 1" in capsys.readouterr().err
+    assert "argument --shots: invalid int value: 'abc'" in capsys.readouterr().err
     assert run_cli(capsys, *argv) == fresh
 
 
@@ -431,6 +433,27 @@ def test_state_file_round_trip(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["correlation"] == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("visibility", [[], ["--visibility", "0.9"]], ids=["v=1", "v=0.9"])
+@pytest.mark.parametrize(
+    "seed, degrees",
+    [(1, "77.479,230.159,289.82,346.922,54.189,173.596"),
+     (3, "196.829,331.714,202.652,267.808,340.971,303.162"),
+     (4, "249.802,116.142,271.903,183.83,136.688,266.202")],
+)
+def test_angles_print_the_pairs_tensor_entry_of_the_same_angles(
+    capsys, tmp_path, seed, degrees, visibility
+):
+    state_path = tmp_path / "rho.json"
+    state_path.write_text(json.dumps(random_density(np.random.default_rng(seed)).to_jsonable()))
+    common = ["correlations", "--state", str(state_path), *visibility, "--format", "json"]
+    angles = ",".join(degrees.split(",")[::2])
+    code, out, _ = run_cli(capsys, *common, "--angles", angles)
+    assert code == 0
+    code, pairs_out, _ = run_cli(capsys, *common, "--pairs", degrees)
+    assert code == 0
+    assert repr(json.loads(out)["correlation"]) == repr(json.loads(pairs_out)["tensor"]["000"])
 
 
 def test_unknown_state_is_reported_machine_readably(capsys):

@@ -8,22 +8,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import analyzer_observable, random_angles, random_density, random_pure
+from helpers import (
+    analyzer_observable,
+    maximally_mixed,
+    pure_to_density,
+    random_angles,
+    random_density,
+    random_pure,
+)
 from tribell import (
     Classification,
     CorrelationTensor,
+    DensityMatrix,
     Functional,
     SettingsPair,
     StateTensor,
     classify,
+    correlation,
     correlation_tensor,
     make_ghz,
     make_w,
-    maximally_mixed,
     mermin_partner_value,
     mermin_value,
     mix_with_white_noise,
-    pure_to_density,
     svetlichny_value,
     symmetric_pairs,
 )
@@ -78,6 +85,54 @@ def test_correlation_tensor_matches_kronecker_reference(seed, visibility):
         )
         expected = float(np.trace(rho.entries @ observable).real)
         assert abs(tensor[i, j, k] - expected) < 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), pure=st.booleans(), visibility=st.floats(0.0, 1.0))
+def test_correlation_is_the_tensor_entry_of_its_angles_bitwise(seed, pure, visibility):
+    # One contraction gives both, so correlations --angles and --pairs print
+    # the same E for the same angles.
+    rng = np.random.default_rng(seed)
+    state = StateTensor(random_pure(rng) if pure else random_density(rng), visibility)
+    pairs = tuple(SettingsPair(*random_angles(rng, 2)) for _ in range(3))
+    tensor = correlation_tensor(state, pairs)
+    for i, j, k in SETTING_CHOICES:
+        settings = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
+        assert repr(correlation(state, settings)) == repr(tensor[i, j, k])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    party=st.integers(0, 2),
+    theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+)
+def test_rotating_a_qubit_about_y_shifts_its_phases(seed, party, theta):
+    # R = exp(-i theta Y / 2) gives R^dagger sigma(phi) R = sigma(phi + theta),
+    # so E(R rho R^dagger, phi) = E(rho, phi + theta) for the rotated party.
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng)
+    pairs = tuple(SettingsPair(*random_angles(rng, 2)) for _ in range(3))
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    factors = [np.eye(2)] * 3
+    factors[party] = np.array([[c, -s], [s, c]])
+    rotation = np.kron(np.kron(factors[0], factors[1]), factors[2])
+    rotated = DensityMatrix(rotation @ rho.entries @ rotation.T)
+    shifted = list(pairs)
+    shifted[party] = SettingsPair(pairs[party].phi + theta, pairs[party].phi_prime + theta)
+    expected = correlation_tensor(rho, shifted).values
+    assert np.abs(correlation_tensor(rotated, pairs).values - expected).max() < 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(3)))
+def test_permuting_the_qubits_permutes_the_tensor_axes(seed, order):
+    # Qubit q of the permuted state is qubit order[q] of rho, measured with its pair.
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng)
+    pairs = tuple(SettingsPair(*random_angles(rng, 2)) for _ in range(3))
+    axes = [*order, *(3 + q for q in order)]
+    permuted = DensityMatrix(rho.entries.reshape((2,) * 6).transpose(axes).reshape(8, 8))
+    tensor = correlation_tensor(permuted, [pairs[q] for q in order]).values
+    expected = correlation_tensor(rho, pairs).values.transpose(order)
+    assert np.abs(tensor - expected).max() < 1e-12
 
 
 def test_mermin_value_cases():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    maximally_mixed,
     min_symmetry_distance,
     objective_symmetries,
     random_angles,
@@ -28,7 +29,6 @@ from tribell import (
     lhv_max,
     make_ghz,
     make_w,
-    maximally_mixed,
     optimize,
     symmetric_pairs,
 )

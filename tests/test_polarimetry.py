@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from helpers import (
     analyzer_observable,
     analyzer_projectors,
+    maximally_mixed,
+    pure_to_density,
     random_angles,
     random_density,
     random_pure,
@@ -27,10 +29,8 @@ from tribell import (
     correlation_tensor,
     make_ghz,
     make_w,
-    maximally_mixed,
     mix_with_white_noise,
     outcome_distribution,
-    pure_to_density,
     sample_counts,
     symmetric_pairs,
     wrap_phase,

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import random_density, random_pure
+from helpers import maximally_mixed, pure_to_density, random_density, random_pure
 from tribell import (
     DensityMatrix,
     PureState,
     make_ghz,
     make_w,
-    maximally_mixed,
     mix_with_white_noise,
-    pure_to_density,
     state_from_jsonable,
 )
 from tribell.qstate import HERMITIAN_ATOL, ket_index

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_pure
+from helpers import maximally_mixed, pure_to_density, random_density, random_pure
 from tribell import (
     BOUND,
     Classification,
@@ -27,10 +27,8 @@ from tribell import (
     functional_value,
     make_ghz,
     make_w,
-    maximally_mixed,
     mix_with_white_noise,
     outcome_distribution,
-    pure_to_density,
     sample_counts,
     symmetric_pairs,
 )
