@@ -118,12 +118,15 @@ class CorrelationTensor:
         return [["i", "j", "k", "E"], *([*ijk, e] for ijk, e in zip(SETTING_CHOICES, values))]
 
 
-def party_pairs(pairs) -> tuple:
-    """pairs as a tuple, or ValueError unless it holds one SettingsPair per party."""
+def pair_phases(pairs) -> list[list[float]]:
+    """Each party's (phi, phi') wrapped by wrap_phase, shape (3, 2).
+
+    Raises ValueError unless pairs holds one SettingsPair per party.
+    """
     pairs = tuple(pairs)
     if len(pairs) != 3:
         raise ValueError(f"expected one SettingsPair per party, got {len(pairs)}")
-    return pairs
+    return [[wrap_phase(p.phi), wrap_phase(p.phi_prime)] for p in pairs]
 
 
 def correlation_tensor(
@@ -135,8 +138,7 @@ def correlation_tensor(
     state's coefficient tensor (polarimetry._correlations), so the state is
     read once per tensor.
     """
-    phases = [[wrap_phase(p.phi), wrap_phase(p.phi_prime)] for p in party_pairs(pairs)]
-    return CorrelationTensor(_correlations(state, phases))
+    return CorrelationTensor(_correlations(state, pair_phases(pairs)))
 
 
 def mermin_value(tensor: CorrelationTensor) -> float:

@@ -12,10 +12,11 @@ every correlation and outcome probability only through its 27 coefficients
 Re tr(rho P_u x P_v x P_w), P in (I, Z, X) (pauli_coefficients).  Every
 correlation, one or a tensor of eight, is the Z/X block contracted with one
 weight pair g per party and setting (_correlations); every outcome
-probability is the full tensor contracted with one port row per party
-(_born).  A StateTensor holds the tensor read-only, so every
-correlation or distribution it feeds is only the contraction; a PureState or
-DensityMatrix passed in its place is expanded afresh on each call.  A
+probability is the full tensor contracted with two port rows per party and
+setting (_probabilities), and outcome_distribution is its one-setting row.
+A StateTensor holds the tensor read-only, so every correlation or
+distribution it feeds is only the contraction; a PureState or DensityMatrix
+passed in its place is expanded afresh on each call.  A
 PureState's projector np.outer(a, a*) is expanded directly, never built or
 validated as a DensityMatrix (the range rule's comment says why it is safe).
 
@@ -36,8 +37,6 @@ import numpy as np
 from .qstate import EIGENVALUE_ATOL, HERMITIAN_ATOL, TRACE_ATOL, DensityMatrix, PureState
 
 TWO_PI = 2.0 * math.pi
-
-PROB_SUM_ATOL = 1e-10
 
 # The slack of the range rule, from qstate's tolerances.  A Born-rule number
 # reads rho only through H = (rho + rho^dagger)/2, as Re tr(rho P) = tr(H P) for
@@ -63,6 +62,10 @@ _CORRELATION_REACH = 1.0 + 14.0 * _NEG + TRACE_ATOL + _ROUNDING
 #: comes from no accepted state (_in_range).
 _PROBABILITY = (0.0, 1.0, -_NEG - _ROUNDING, 1.0 + 7.0 * _NEG + TRACE_ATOL + _ROUNDING)
 _CORRELATION = (-1.0, 1.0, -_CORRELATION_REACH, _CORRELATION_REACH)
+#: Slack of the clipped sum of eight outcome probabilities.  Unclipped they sum
+#: to tr H, within TRACE_ATOL of 1; the clip raises at most seven, each by at
+#: most NEG + _ROUNDING, and lowers none below 1, so a clipped row passes again.
+PROB_SUM_ATOL = TRACE_ATOL + 7.0 * (_NEG + _ROUNDING)
 
 #: I, Z and X stacked, the basis in which every analyzer operator is expanded.
 _PAULI_IZX = np.array(
@@ -122,15 +125,6 @@ def analyzer_weights(phases) -> np.ndarray:
     np.sin(phases, out=x)
     np.negative(x, out=x)
     return weights
-
-
-def _born(state: PureState | DensityMatrix | StateTensor, weights) -> np.ndarray:
-    """R[i, j, k] = sum W_a[i, u] W_b[j, v] W_c[k, w] T[u, v, w].
-
-    weights holds one (n, 3) matrix of (I, Z, X) weight rows per party.
-    """
-    a, b, c = weights[0], weights[1], weights[2]  # faster than unpacking an array
-    return np.einsum("iu,jv,kw,uvw->ijk", a, b, c, pauli_coefficients(state))
 
 
 def _correlations(state: PureState | DensityMatrix | StateTensor, phases) -> np.ndarray:
@@ -213,7 +207,7 @@ class OutcomeDistribution:
 
     probs[oa, ob, oc] uses port indices (0 for +1, 1 for -1) per party.
     Entries are clipped into [0, 1] by _in_range, so no reported probability
-    is negative; their sum is checked before the clip.
+    is negative; their clipped sum must lie within PROB_SUM_ATOL of 1.
     """
 
     probs: np.ndarray
@@ -232,35 +226,52 @@ class OutcomeDistribution:
         return dict(zip(OUTCOME_LABELS, self.probs.ravel().tolist()))
 
 
-def _port_rows(phases) -> np.ndarray:
-    """(I, Z, X) rows (1, +-g)/2 of the two ports per wrapped phase, on new axes (port, 3)."""
-    g = 0.5 * analyzer_weights(phases)
-    rows = np.empty(g.shape[:-1] + (2, 3))
-    rows[..., 0] = 0.5
-    rows[..., 0, 1:] = g
-    rows[..., 1, 1:] = -g
-    return rows
-
-
 def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
-    """probs[..., outcome] clipped by _in_range; ValueError if a row's sum is not 1."""
-    totals = probs.sum(axis=-1)
+    """probs[..., outcome] clipped by _in_range; ValueError if a clipped row's sum is not 1."""
     probs = _in_range(probs, _PROBABILITY, "outcome probabilities")
+    totals = probs.sum(axis=-1)
     off = np.abs(totals - 1.0) > PROB_SUM_ATOL
     if off.any():
         raise ValueError(f"outcome probabilities sum to {float(totals[off][0])}, expected 1")
     return probs
 
 
-def outcome_distribution(
-    state: PureState | DensityMatrix | StateTensor, settings
-) -> OutcomeDistribution:
-    """Joint +-1 outcome distribution for three analyzers at the given phases."""
+def _probabilities(state: PureState | DensityMatrix | StateTensor, phases) -> np.ndarray:
+    """probs[index, outcome], checked, for n wrapped phases per party, shape (3, n).
+
+    Rows run over the n**3 setting choices in row-major order and columns over
+    OUTCOME_LABELS.  Each party's two (I, Z, X) port rows (1, +-g)/2 per phase
+    are contracted with the full coefficient tensor in one einsum.
+    """
+    g = 0.5 * analyzer_weights(phases)  # party, setting, (Z, X)
+    n = g.shape[1]
+    rows = np.empty((3, n, 2, 3))  # party, setting, port, (I, Z, X)
+    rows[..., 0] = 0.5
+    rows[..., 0, 1:] = g
+    rows[..., 1, 1:] = -g
+    rows = rows.reshape(3, 2 * n, 3)
+    born = np.einsum("iu,jv,kw,uvw->ijk", rows[0], rows[1], rows[2], pauli_coefficients(state))
+    # (i, oa, j, ob, k, oc) -> (i, j, k, oa, ob, oc)
+    table = born.reshape((n, 2) * 3).transpose(0, 2, 4, 1, 3, 5).reshape(n**3, 8)
+    return _checked_probabilities(table)
+
+
+def _setting_phases(settings, copies: int) -> list[list[float]]:
+    """The three phases wrapped, each given `copies` times; ValueError unless there are three."""
     phis = tuple(float(p) for p in settings)
     if len(phis) != 3:
         raise ValueError(f"expected 3 analyzer settings, got {len(phis)}")
-    ports = _port_rows([wrap_phase(phi) for phi in phis])  # party, port, (I, Z, X)
-    return OutcomeDistribution(_born(state, ports))
+    return [[wrap_phase(phi)] * copies for phi in phis]
+
+
+def outcome_distribution(
+    state: PureState | DensityMatrix | StateTensor, settings
+) -> OutcomeDistribution:
+    """Joint +-1 outcome distribution for three analyzers at the given phases.
+
+    Row 0 of _probabilities with one phase per party.
+    """
+    return OutcomeDistribution(_probabilities(state, _setting_phases(settings, 1))[0])
 
 
 def correlation(state: PureState | DensityMatrix | StateTensor, settings) -> float:
@@ -269,10 +280,7 @@ def correlation(state: PureState | DensityMatrix | StateTensor, settings) -> flo
     The [0, 0, 0] entry of _correlations with each party's phase given twice,
     so it equals bitwise the entry of any correlation_tensor at these phases.
     """
-    phis = tuple(float(p) for p in settings)
-    if len(phis) != 3:
-        raise ValueError(f"expected 3 analyzer settings, got {len(phis)}")
-    value = _correlations(state, [[wrap_phase(phi)] * 2 for phi in phis])[0, 0, 0]
+    value = _correlations(state, _setting_phases(settings, 2))[0, 0, 0]
     return float(_in_range(value, _CORRELATION, "correlation"))
 
 

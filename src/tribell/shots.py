@@ -29,12 +29,9 @@ from .inequalities import (
     classify,
     correlation_tensor,
     functional_value,
-    party_pairs,
+    pair_phases,
 )
-from .polarimetry import (
-    OUTCOME_LABELS, OUTCOME_SIGNS, StateTensor, _born, _checked_probabilities, _port_rows,
-    wrap_phase,
-)
+from .polarimetry import OUTCOME_LABELS, OUTCOME_SIGNS, StateTensor, _probabilities
 from .qstate import DensityMatrix, PureState
 
 # Counts are int64 (CountTable), so one setting holds at most 2**63 - 1 shots.
@@ -112,27 +109,14 @@ def _setting_stream(seed: int, choice_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _probability_table(state: PureState | DensityMatrix | StateTensor, pairs) -> np.ndarray:
-    """probs[index, outcome]: the outcome distribution of every setting choice.
-
-    Rows follow SETTING_CHOICES and columns OUTCOME_LABELS.  All 64 numbers are
-    one contraction, with a (4, 3) block of port rows per party (2 settings x
-    2 ports), and each row equals outcome_distribution's probs bitwise.
-    """
-    phases = [[wrap_phase(p.phi), wrap_phase(p.phi_prime)] for p in party_pairs(pairs)]
-    born = _born(state, _port_rows(phases).reshape(3, 4, 3))
-    # (i, oa, j, ob, k, oc) -> (i, j, k, oa, ob, oc)
-    table = born.reshape((2,) * 6).transpose(0, 2, 4, 1, 3, 5).reshape(8, 8)
-    return _checked_probabilities(table)
-
-
 def sample_counts(
     state: PureState | DensityMatrix | StateTensor, pairs, n_shots: int, seed: int
 ) -> CountTable:
     """Draw n_shots outcome triples per setting choice from the Born rule."""
     n_shots = check_integer(n_shots, "n_shots", 1, MAX_SHOTS_PER_SETTING, "2**63 - 1")
     check_seed(seed)
-    table = _probability_table(state, pairs)
+    # probs[index, outcome]: rows follow SETTING_CHOICES, columns OUTCOME_LABELS.
+    table = _probabilities(state, pair_phases(pairs))
     counts = np.zeros((8, 8), dtype=np.int64)
     # One generator serves every setting: re-keying it to (seed, index) with a
     # fresh counter and buffer puts it in the state _setting_stream(seed, index)

@@ -241,6 +241,23 @@ def test_states_at_the_tolerances_give_every_born_number(seed, rotated, skewed, 
     assert sample_counts(rho, pairs, 10, seed=0).counts.sum() == 80
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rotated=st.booleans(),
+    skewed=st.booleans(),
+    axis_phases=st.booleans(),
+)
+@example(seed=0, rotated=False, skewed=False, axis_phases=True)
+def test_a_reported_distribution_is_accepted_again_unchanged(seed, rotated, skewed, axis_phases):
+    # At seed 0 the clip raises six probabilities of -1e-10 to 0, so the
+    # reported ones sum to 1 + 6e-10: the sum rule must accept what it reports.
+    rng = np.random.default_rng(seed)
+    rho = _edge_density(rng, rotated, skewed)
+    x = rng.integers(0, 4, 6) * (math.pi / 2.0) if axis_phases else random_angles(rng, 6)
+    probs = outcome_distribution(rho, x[::2]).probs
+    assert OutcomeDistribution(probs).probs.tobytes() == probs.tobytes()
+
+
 def test_outcome_distribution_clips_rounding_into_the_unit_interval():
     probs = np.full((2, 2, 2), 1.0 / 6.0)
     probs[0, 0, 0] = -1e-13

@@ -20,6 +20,7 @@ from tribell import (
     OptimizationConfig,
     SettingsPair,
     StateTensor,
+    correlation,
     correlation_tensor,
     critical_visibility,
     estimate_inequality,
@@ -33,9 +34,9 @@ from tribell import (
     symmetric_pairs,
 )
 from tribell import polarimetry
-from tribell.inequalities import SETTING_KEYS
+from tribell.inequalities import SETTING_KEYS, pair_phases
 from tribell.polarimetry import OUTCOME_LABELS
-from tribell.shots import MAX_SHOTS_PER_SETTING, _probability_table, _setting_stream
+from tribell.shots import MAX_SHOTS_PER_SETTING, _setting_stream
 
 COMMENT_PAIRS = symmetric_pairs(math.pi / 2.0, 0.0)
 OPTIMAL_PAIRS = symmetric_pairs(math.radians(35.264), math.radians(144.736))
@@ -158,7 +159,7 @@ def test_probability_table_is_the_eight_outcome_distributions_bitwise(
     state = named[kind]() if kind in named else random_density(rng, rank=kind)
     tensor = StateTensor(state, visibility)
     pairs = tuple(SettingsPair(phases[2 * p], phases[2 * p + 1]) for p in range(3))
-    table = _probability_table(tensor, pairs)
+    table = polarimetry._probabilities(tensor, pair_phases(pairs))
     assert table.shape == (8, 8)
     for index, (i, j, k) in enumerate(itertools.product((0, 1), repeat=3)):
         phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
@@ -214,6 +215,28 @@ def test_sampling_needs_one_pair_per_party(count):
     pairs = [SettingsPair(0.0, 1.0)] * count
     with pytest.raises(ValueError, match=f"expected one SettingsPair per party, got {count}"):
         sample_counts(make_w(), pairs, 10, seed=1)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 4])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda n: correlation(make_w(), [0.0] * n), "expected 3 analyzer settings"),
+        (lambda n: outcome_distribution(make_w(), [0.0] * n), "expected 3 analyzer settings"),
+        (lambda n: correlation_tensor(make_w(), [SettingsPair(0.0, 1.0)] * n),
+         "expected one SettingsPair per party"),
+        (lambda n: sample_counts(make_w(), [SettingsPair(0.0, 1.0)] * n, 10, seed=1),
+         "expected one SettingsPair per party"),
+        (lambda n: critical_visibility(make_w(), [SettingsPair(0.0, 1.0)] * n,
+                                       Functional.SVETLICHNY),
+         "expected one SettingsPair per party"),
+    ],
+    ids=["correlation", "outcome_distribution", "correlation_tensor", "sample_counts",
+         "critical_visibility"],
+)
+def test_every_entry_point_names_a_wrong_setting_count(call, message, count):
+    with pytest.raises(ValueError, match=f"{message}, got {count}$"):
+        call(count)
 
 
 @pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0), True, "3", None])
