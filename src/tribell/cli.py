@@ -10,6 +10,7 @@ import json
 import math
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
 
@@ -38,8 +39,60 @@ NAMED_STATES = MappingProxyType({
 MAX_STATE_FILE_BYTES = 2**20
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """The stdlib's C encoder for a value at this nesting depth of a report.
+
+    Its item separator holds the newline and indent of the depth's items.
+    json itself falls back to its pure-Python encoder whenever indent is set.
+    """
+    return json.JSONEncoder(
+        sort_keys=True, allow_nan=False, separators=(",\n" + "  " * (depth + 1), ": ")
+    )
+
+
+def _write_json(value, depth: int, parts: list) -> None:
+    """Append value's text, at this nesting depth of a report, to parts.
+
+    A scalar or a container of scalars is one call of the depth's C encoder;
+    a container that holds a container is walked here.  The keys of a dict
+    walked here must be str, as every report's are.
+    """
+    if not isinstance(value, _CONTAINERS):
+        parts.append(_flat_encoder(depth).encode(value))
+        return
+    is_dict = isinstance(value, dict)
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    if not any(isinstance(member, _CONTAINERS)
+               for member in (value.values() if is_dict else value)):
+        text = _flat_encoder(depth).encode(value)
+        # '[a,<inner>b]' becomes '[<inner>a,<inner>b<outer>]'; '[]' stays.
+        parts.append(text[0] + inner + text[1:-1] + outer + text[-1] if value else text)
+        return
+    separator = ("{" if is_dict else "[") + inner
+    for member in sorted(value.items()) if is_dict else value:
+        parts.append(separator)
+        separator = "," + inner
+        if is_dict:
+            key, member = member
+            parts.append(encode_basestring_ascii(key) + ": ")
+        _write_json(member, depth + 1, parts)
+    parts.append(outer + ("}" if is_dict else "]"))
+
+
 def render_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n".
+
+    A non-finite float raises ValueError, as there.
+    """
+    parts: list = []
+    _write_json(payload, 0, parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def render_csv(rows) -> str:
@@ -129,26 +182,30 @@ def load_reproduce_manifest() -> tuple:
     return tuple(json.loads(text, object_hook=MappingProxyType)["rows"])
 
 
-def _row_state_and_pairs(params: dict):
-    """The named state's tensor and the symmetric settings a row names."""
-    pairs = symmetric_pairs(
-        math.radians(params["phi_deg"]), math.radians(params["phi_prime_deg"])
-    )
-    return NAMED_STATES[params["state"]], pairs
+def _row_tensor(params: dict, tensors: dict):
+    """The correlation tensor of the named state at the symmetric settings a row names.
+
+    tensors holds those this reproduction has computed, keyed by (state,
+    phi_deg, phi_prime_deg), so the rows that name one pair share one tensor.
+    """
+    key = (params["state"], params["phi_deg"], params["phi_prime_deg"])
+    tensor = tensors.get(key)
+    if tensor is None:
+        pairs = symmetric_pairs(math.radians(key[1]), math.radians(key[2]))
+        tensor = tensors[key] = correlation_tensor(NAMED_STATES[key[0]], pairs)
+    return tensor
 
 
-def _evaluate_manifest_row(row: dict) -> float:
+def _evaluate_manifest_row(row: dict, tensors: dict) -> float:
     kind = row["kind"]
     params = row["params"]
     functional = Functional(params["functional"])
     if kind == "functional_value":
-        state, pairs = _row_state_and_pairs(params)
-        return functional_value(correlation_tensor(state, pairs), functional)
+        return functional_value(_row_tensor(params, tensors), functional)
     if kind == "lhv_max":
         return lhv_max(functional, ModelClass(params["model"])).max_value
     if kind == "critical_visibility":
-        state, pairs = _row_state_and_pairs(params)
-        return shots.critical_visibility(state, pairs, functional)
+        return shots.critical_visibility_from_tensor(_row_tensor(params, tensors), functional)
     raise ValueError(f"unknown manifest row kind {kind!r}")
 
 
@@ -156,11 +213,13 @@ def run_reproduction() -> list[dict]:
     """Evaluate every manifest row; each gets value, expected, and a pass flag.
 
     Each state the manifest names is read from NAMED_STATES, so a call builds
-    no state and expands no coefficients.
+    no state and expands no coefficients, and it contracts each (state,
+    settings) pair the manifest names once.
     """
+    tensors: dict = {}
     results = []
     for row in load_reproduce_manifest():
-        value = _evaluate_manifest_row(row)
+        value = _evaluate_manifest_row(row, tensors)
         passed = abs(value - row["expected"]) <= row["tolerance"]
         results.append(
             {

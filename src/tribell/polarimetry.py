@@ -237,11 +237,12 @@ def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
 
 
 def _probabilities(state: PureState | DensityMatrix | StateTensor, phases) -> np.ndarray:
-    """probs[index, outcome], checked, for n wrapped phases per party, shape (3, n).
+    """probs[index, outcome] for n wrapped phases per party, shape (3, n), unchecked.
 
     Rows run over the n**3 setting choices in row-major order and columns over
     OUTCOME_LABELS.  Each party's two (I, Z, X) port rows (1, +-g)/2 per phase
-    are contracted with the full coefficient tensor in one einsum.
+    are contracted with the full coefficient tensor in one einsum.  Callers
+    check the table once, with _checked_probabilities.
     """
     g = 0.5 * analyzer_weights(phases)  # party, setting, (Z, X)
     n = g.shape[1]
@@ -252,8 +253,7 @@ def _probabilities(state: PureState | DensityMatrix | StateTensor, phases) -> np
     rows = rows.reshape(3, 2 * n, 3)
     born = np.einsum("iu,jv,kw,uvw->ijk", rows[0], rows[1], rows[2], pauli_coefficients(state))
     # (i, oa, j, ob, k, oc) -> (i, j, k, oa, ob, oc)
-    table = born.reshape((n, 2) * 3).transpose(0, 2, 4, 1, 3, 5).reshape(n**3, 8)
-    return _checked_probabilities(table)
+    return born.reshape((n, 2) * 3).transpose(0, 2, 4, 1, 3, 5).reshape(n**3, 8)
 
 
 def _setting_phases(settings, copies: int) -> list[list[float]]:
@@ -269,7 +269,8 @@ def outcome_distribution(
 ) -> OutcomeDistribution:
     """Joint +-1 outcome distribution for three analyzers at the given phases.
 
-    Row 0 of _probabilities with one phase per party.
+    Row 0 of _probabilities with one phase per party, checked once, by
+    OutcomeDistribution.
     """
     return OutcomeDistribution(_probabilities(state, _setting_phases(settings, 1))[0])
 

@@ -31,7 +31,13 @@ from .inequalities import (
     functional_value,
     pair_phases,
 )
-from .polarimetry import OUTCOME_LABELS, OUTCOME_SIGNS, StateTensor, _probabilities
+from .polarimetry import (
+    OUTCOME_LABELS,
+    OUTCOME_SIGNS,
+    StateTensor,
+    _checked_probabilities,
+    _probabilities,
+)
 from .qstate import DensityMatrix, PureState
 
 # Counts are int64 (CountTable), so one setting holds at most 2**63 - 1 shots.
@@ -116,7 +122,7 @@ def sample_counts(
     n_shots = check_integer(n_shots, "n_shots", 1, MAX_SHOTS_PER_SETTING, "2**63 - 1")
     check_seed(seed)
     # probs[index, outcome]: rows follow SETTING_CHOICES, columns OUTCOME_LABELS.
-    table = _probabilities(state, pair_phases(pairs))
+    table = _checked_probabilities(_probabilities(state, pair_phases(pairs)))
     counts = np.zeros((8, 8), dtype=np.int64)
     # One generator serves every setting: re-keying it to (seed, index) with a
     # fresh counter and buffer puts it in the state _setting_stream(seed, index)
@@ -198,8 +204,13 @@ def critical_visibility(
     traceless), so the functional of v*rho + (1-v)*identity/8 is v times its
     value S at v = 1, and the crossing is v* = bound / |S|.
     """
+    return critical_visibility_from_tensor(correlation_tensor(state, pairs), functional)
+
+
+def critical_visibility_from_tensor(tensor: CorrelationTensor, functional: Functional) -> float:
+    """critical_visibility of the state whose correlation tensor at full visibility this is."""
     functional = Functional(functional)
-    value = abs(functional_value(correlation_tensor(state, pairs), functional))
+    value = abs(functional_value(tensor, functional))
     if value <= BOUND[functional]:
         raise ValueError(
             "no violation at full visibility; critical visibility undefined"

@@ -8,11 +8,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import random_density
 from tribell import (
     CorrelationTensor, Functional, StateTensor, cli, make_ghz, make_w, polarimetry, qstate, shots,
 )
+from tribell.inequalities import correlation_tensor, functional_value, symmetric_pairs
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +144,49 @@ def test_sample_with_zero_standard_error_prints_strict_json(capsys):
     assert out.count("z = -inf") == 2
     with pytest.raises(ValueError):
         cli.render_json({"z_score": math.inf})
+
+
+def _stdlib_indent_2(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 2.0**63]),
+    st.text(),
+)
+json_payloads = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(payload=json_payloads)
+@example(payload=[])
+@example(payload={"": {}, "a": [[], {}, ()], "b": [[[]]]})
+@example(payload={"k\u00e9\n\"": ['q"\\\x00\x1f\u2028\ud800\U0001f600', -0.0, 5e-324, 1e16]})
+@example(payload=({"z": 2**70, "a": [True, None, {"x": (False,)}]}, -(2**70), "é"))
+def test_report_writer_prints_the_stdlib_indent_2_layout(payload):
+    assert cli.render_json(payload) == _stdlib_indent_2(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [math.inf, [1.0, -math.inf], {"a": 1, "b": math.nan}, {"a": [{"b": math.inf}], "c": []}],
+    ids=["scalar", "flat-list", "flat-dict", "nested"],
+)
+def test_report_writer_refuses_a_non_finite_float(payload):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        cli.render_json(payload)
 
 
 def test_sample_csv_counts(capsys):
@@ -587,6 +633,36 @@ def test_state_file_is_read_up_to_its_byte_budget(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert f"over {cli.MAX_STATE_FILE_BYTES} bytes" in json.loads(err)["error"]
+
+
+def test_reproduce_contracts_each_state_and_settings_pair_once(monkeypatch):
+    calls = []
+
+    def counting_tensor(state, pairs):
+        calls.append((state, pairs))
+        return correlation_tensor(state, pairs)
+
+    monkeypatch.setattr(cli, "correlation_tensor", counting_tensor)
+    monkeypatch.setattr(shots, "correlation_tensor", counting_tensor)
+    values = {row["id"]: row["value"] for row in cli.run_reproduction()}
+    assert len(calls) == 2
+    monkeypatch.undo()
+    checked = 0
+    for row in cli.load_reproduce_manifest():
+        params = row["params"]
+        if row["kind"] == "lhv_max":
+            continue
+        state = cli.NAMED_STATES[params["state"]]
+        pairs = symmetric_pairs(math.radians(params["phi_deg"]),
+                                math.radians(params["phi_prime_deg"]))
+        functional = Functional(params["functional"])
+        if row["kind"] == "functional_value":
+            expected = functional_value(correlation_tensor(state, pairs), functional)
+        else:
+            expected = shots.critical_visibility(state, pairs, functional)
+        assert values[row["id"]].hex() == expected.hex()
+        checked += 1
+    assert checked == 4
 
 
 REQUESTS = {

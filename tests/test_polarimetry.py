@@ -35,6 +35,7 @@ from tribell import (
     symmetric_pairs,
     wrap_phase,
 )
+from tribell import polarimetry
 from tribell.polarimetry import (
     OUTCOME_LABELS,
     TWO_PI,
@@ -256,6 +257,20 @@ def test_a_reported_distribution_is_accepted_again_unchanged(seed, rotated, skew
     x = rng.integers(0, 4, 6) * (math.pi / 2.0) if axis_phases else random_angles(rng, 6)
     probs = outcome_distribution(rho, x[::2]).probs
     assert OutcomeDistribution(probs).probs.tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("state", NAMED_STATES, ids=["w", "ghz-hv", "ghz-rl"])
+def test_outcome_distribution_checks_its_row_once(monkeypatch, state):
+    calls = []
+    in_range = polarimetry._in_range
+
+    def counting_in_range(*args):
+        calls.append(args)
+        return in_range(*args)
+
+    monkeypatch.setattr(polarimetry, "_in_range", counting_in_range)
+    outcome_distribution(StateTensor(state), [0.0, 0.5, 1.0])
+    assert len(calls) == 1
 
 
 def test_outcome_distribution_clips_rounding_into_the_unit_interval():

@@ -159,7 +159,9 @@ def test_probability_table_is_the_eight_outcome_distributions_bitwise(
     state = named[kind]() if kind in named else random_density(rng, rank=kind)
     tensor = StateTensor(state, visibility)
     pairs = tuple(SettingsPair(phases[2 * p], phases[2 * p + 1]) for p in range(3))
-    table = polarimetry._probabilities(tensor, pair_phases(pairs))
+    table = polarimetry._checked_probabilities(
+        polarimetry._probabilities(tensor, pair_phases(pairs))
+    )
     assert table.shape == (8, 8)
     for index, (i, j, k) in enumerate(itertools.product((0, 1), repeat=3)):
         phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
