@@ -118,7 +118,7 @@ class CorrelationTensor:
         return [["i", "j", "k", "E"], *([*ijk, e] for ijk, e in zip(SETTING_CHOICES, values))]
 
 
-def pair_phases(pairs) -> list[list[float]]:
+def pair_phases(pairs) -> np.ndarray:
     """Each party's (phi, phi') wrapped by wrap_phase, shape (3, 2).
 
     Raises ValueError unless pairs holds one SettingsPair per party.
@@ -126,7 +126,7 @@ def pair_phases(pairs) -> list[list[float]]:
     pairs = tuple(pairs)
     if len(pairs) != 3:
         raise ValueError(f"expected one SettingsPair per party, got {len(pairs)}")
-    return [[wrap_phase(p.phi), wrap_phase(p.phi_prime)] for p in pairs]
+    return wrap_phase([[p.phi, p.phi_prime] for p in pairs])
 
 
 def correlation_tensor(
@@ -134,7 +134,7 @@ def correlation_tensor(
 ) -> CorrelationTensor:
     """Evaluate all eight correlations for a two-settings-per-party scenario.
 
-    Each party's two (Z, X) weights are contracted with the Z/X block of the
+    Each party's two (Z, -X) weights are contracted with the Z/-X block of the
     state's coefficient tensor (polarimetry._correlations), so the state is
     read once per tensor.
     """

@@ -2,10 +2,8 @@
 
 Eight fixed party-symmetric seeds (_SEEDS), then any random restarts, start
 exact block-coordinate ascent on the six-dimensional torus: S is linear in
-each party's weights g = (cos phi, -sin phi), so one party's best phases, the
-other two fixed, are closed form.  The ascent folds the sign of the X weight
-into the trilinear form and works with (cos phi, sin phi), which rounds
-exactly alike (_party_blocks).
+each party's weights g = (cos phi, sin phi) on (Z, -X) (analyzer_weights), so
+one party's best phases, the other two fixed, are closed form.
 Block sweeps alone converge only linearly where the parties' phases are
 coupled, so each sweep after the first is followed by a saddle-free Newton
 step over all six phases, whose exact gradient and Hessian the trilinear form
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import SIGN_TENSOR, Functional, SettingsPair
-from .polarimetry import TWO_PI, StateTensor, pauli_coefficients
+from .polarimetry import TWO_PI, StateTensor, analyzer_weights, pauli_coefficients, wrap_phase
 from .qstate import DensityMatrix, PureState
 from .shots import check_integer, check_seed
 
@@ -87,10 +85,6 @@ class OptimizationResult:
         }
 
 
-#: (-1)**(number of X indices) per entry of the 4x4x4 form, whose index per
-#: party runs over (Z, X) of phi, then of phi'.
-_X_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
-_X_SIGNS = _X_SIGN[:, None, None] * _X_SIGN[:, None] * _X_SIGN
 #: Per party p: the other two parties, and the form's axes with p's last.
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 _BLOCK_AXES = ((1, 2, 0), (0, 2, 1), (0, 1, 2))
@@ -99,7 +93,8 @@ _BLOCK_AXES = ((1, 2, 0), (0, 2, 1), (0, 1, 2))
 def _trilinear_form(state: PureState | DensityMatrix | StateTensor, functional: Functional):
     """K[(i, u), (j, v), (k, w)] = c[i, j, k] T[u, v, w] as a 4x4x4 array.
 
-    S is K contracted with the weights (g(phi), g(phi')) of parties a, b, c.
+    S is K contracted with the weights (g(phi), g(phi')) of parties a, b, c:
+    each party's index runs over (Z, -X) of phi, then of phi'.
     """
     coeffs = pauli_coefficients(state)[1:, 1:, 1:]
     signs = SIGN_TENSOR[Functional(functional)]
@@ -107,25 +102,13 @@ def _trilinear_form(state: PureState | DensityMatrix | StateTensor, functional: 
 
 
 def _party_blocks(form: np.ndarray) -> list:
-    """The form times _X_SIGNS, per party p as a 16x4 matrix with p's index last.
+    """The form per party p as a 16x4 matrix with p's index last.
 
-    With the fold, S takes the weights (cos phi, sin phi) (_weights), and each
-    field comes out as with analyzer_weights' (cos phi, -sin phi), X entries
-    negated: negation is exact and rounding symmetric in sign.  The matrices
-    keep the memory order that reshaping the transposed form gives (party
-    a's is column-major), since numpy's one-row (matrix-vector) product
-    rounds by memory order.
+    The matrices keep the memory order that reshaping the transposed form
+    gives (party a's is column-major), since numpy's one-row (matrix-vector)
+    product rounds by memory order.
     """
-    folded = form * _X_SIGNS
-    return [folded.transpose(axes).reshape(16, 4) for axes in _BLOCK_AXES]
-
-
-def _weights(phases: np.ndarray) -> np.ndarray:
-    """(cos phi, sin phi) of each phase on a new last axis: the form's weights."""
-    weights = np.empty(phases.shape + (2,))
-    np.cos(phases, out=weights[..., 0])
-    np.sin(phases, out=weights[..., 1])
-    return weights
+    return [form.transpose(axes).reshape(16, 4) for axes in _BLOCK_AXES]
 
 
 def _fields(blocks: list, g: np.ndarray, party: int) -> np.ndarray:
@@ -139,7 +122,7 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
 
     With two parties fixed, S = sum_s g_s . v_s over the third party's settings
     s, so g_s = v_s / |v_s| maximizes it, to |v_0| + |v_1|: each phase is the
-    arctan2 of its field's X and Z entries, X sign folded in (_party_blocks).
+    arctan2 of its field's -X and Z entries, wrapped.
     A zero field (no entry above _ZERO_FIELD * max|form|) keeps its phase.
     The sign of S is taken once per row, at its start.  A row sweeps parties
     a, b, c until no phase moves by more than `tolerance` radians in a sweep,
@@ -159,7 +142,7 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
     floor = _ZERO_FIELD * np.abs(form).max()
     # The rows still ascending: their indices, phases, weights and signs of S.
     xs = np.array(x0, dtype=float).reshape(-1, 6)
-    gs = _weights(xs).reshape(-1, 3, 4)
+    gs = analyzer_weights(xs).reshape(-1, 3, 4)
     rows = np.arange(len(xs))
     signs = np.where(_values(blocks, gs) >= 0.0, 1.0, -1.0)[:, None]
     x, g, sweeps = np.empty_like(xs), np.empty_like(gs), np.zeros(len(xs), dtype=int)
@@ -172,7 +155,8 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
             field *= signs
             field = field.reshape(-1, 2, 2)
             cols = slice(2 * party, 2 * party + 2)
-            phi = _wrap(np.arctan2(field[..., 1], field[..., 0], out=swept[:, cols]))
+            phi = swept[:, cols]
+            phi[...] = wrap_phase(np.arctan2(field[..., 1], field[..., 0]))
             magnitude = np.abs(field)
             if magnitude.min() <= floor:  # a zero field, if any, keeps its phase
                 zero = magnitude.max(axis=-1) <= floor
@@ -189,7 +173,7 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
             rows, xs, gs, signs = rows[left], xs[left], gs[left], signs[left]
         if sweep >= 2 and rows.size:
             xs = _newton_step(blocks, xs, gs, signs)
-            gs = _weights(xs).reshape(-1, 3, 4)
+            gs = analyzer_weights(xs).reshape(-1, 3, 4)
     return x, np.abs(_values(blocks, g)), sweeps
 
 
@@ -235,8 +219,8 @@ def _newton_step(blocks: list, x: np.ndarray, g: np.ndarray, signs: np.ndarray) 
     over all twelve weights has a zero block per party and, between parties p
     and q, the form with the third party's weights contracted; the gradient
     is half that Hessian times the weights.  The weights are g = (cos phi,
-    sin phi), the form's sign convention, so dg/dphi = (-sin phi, cos phi)
-    and the second derivative is -g: the phase gradient is field . dg and the
+    sin phi) (analyzer_weights), so dg/dphi = (-sin phi, cos phi) and the
+    second derivative is -g: the phase gradient is field . dg and the
     phase Hessian dg^T H dg with -field . g added on its diagonal.  The step
     V |L|^-1 V^T grad over the eigenpairs (L, V) that are not flat ascends f
     also near a saddle (Dauphin et al., 2014).  A row takes the first of
@@ -270,25 +254,16 @@ def _newton_step(blocks: list, x: np.ndarray, g: np.ndarray, signs: np.ndarray) 
     out, rows = x.copy(), np.arange(m)
     for scales in _BACKTRACK_BATCHES:
         trials = x[:, None, :] + scales[:, None] * step[:, None, :]
-        trial_values = _values(blocks, _weights(trials).reshape(-1, 3, 4)).reshape(len(x), -1)
+        trial_values = _values(blocks, analyzer_weights(trials).reshape(-1, 3, 4))
+        trial_values = trial_values.reshape(len(x), -1)
         ok = signs * trial_values >= least[:, None]
         found = ok.any(axis=1)
-        out[rows[found]] = _wrap(trials[found, ok[found].argmax(axis=1)])
+        out[rows[found]] = wrap_phase(trials[found, ok[found].argmax(axis=1)])
         if found.all():
             break
         left = ~found
         rows, x, step, signs, least = rows[left], x[left], step[left], signs[left], least[left]
     return out
-
-
-def _wrap(phi: np.ndarray) -> np.ndarray:
-    """The phases wrapped in place to [0, 2*pi), as wrap_phase does.
-
-    The remainder rounds a tiny negative phase up to 2*pi, and fmod, exact,
-    takes that to 0 and keeps the rest.
-    """
-    np.remainder(phi, TWO_PI, out=phi)
-    return np.fmod(phi, TWO_PI, out=phi)
 
 
 def _values(blocks: list, g: np.ndarray) -> np.ndarray:

@@ -5,12 +5,13 @@ H/V basis: |phi+-> = (|R> +- e^{i phi}|L>)/sqrt(2) with the circular basis
 |R> = (|H> - i|V>)/sqrt(2), |L> = (|H> + i|V>)/sqrt(2).  Outcome +1 means
 detection in the |phi+> port.
 
-The analyzer is represented by its (Z, X) weights g = (cos(phi), -sin(phi))
-alone (analyzer_weights).  The observable is (0, g) in the (I, Z, X) basis
-and its port projectors (I +- sigma(phi))/2 are (1, +-g)/2, so a state enters
-every correlation and outcome probability only through its 27 coefficients
-Re tr(rho P_u x P_v x P_w), P in (I, Z, X) (pauli_coefficients).  Every
-correlation, one or a tensor of eight, is the Z/X block contracted with one
+Operators are expanded in the basis (I, Z, -X), in which sigma(phi) is
+(0, cos(phi), sin(phi)).  The analyzer is represented by its weights
+g = (cos(phi), sin(phi)) alone (analyzer_weights), and its port projectors
+(I +- sigma(phi))/2 are (1, +-g)/2, so a state enters every correlation and
+outcome probability only through its 27 coefficients
+Re tr(rho P_u x P_v x P_w), P in (I, Z, -X) (pauli_coefficients).  Every
+correlation, one or a tensor of eight, is the Z/-X block contracted with one
 weight pair g per party and setting (_correlations); every outcome
 probability is the full tensor contracted with two port rows per party and
 setting (_probabilities), and outcome_distribution is its one-setting row.
@@ -67,9 +68,9 @@ _CORRELATION = (-1.0, 1.0, -_CORRELATION_REACH, _CORRELATION_REACH)
 #: most NEG + _ROUNDING, and lowers none below 1, so a clipped row passes again.
 PROB_SUM_ATOL = TRACE_ATOL + 7.0 * (_NEG + _ROUNDING)
 
-#: I, Z and X stacked, the basis in which every analyzer operator is expanded.
-_PAULI_IZX = np.array(
-    [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]]
+#: I, Z and -X stacked, the basis in which every analyzer operator is expanded.
+_ANALYZER_BASIS = np.array(
+    [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, -1.0], [-1.0, 0.0]]]
 )
 
 #: Labels of the eight outcome triples in row-major port order, "+" for port 0
@@ -102,28 +103,39 @@ def _in_range(values, rule, what: str):
     return values
 
 
-def wrap_phase(phi: float) -> float:
-    """Canonical representative of an analyzer phase in [0, 2*pi)."""
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise ValueError(f"analyzer phase must be finite, got {phi}")
-    wrapped = phi % TWO_PI
-    if wrapped >= TWO_PI:  # rounding can push tiny negatives onto 2*pi itself
-        wrapped = 0.0
-    return wrapped
+def wrap_phase(phi):
+    """Canonical representative in [0, 2*pi) of a phase, or of each in an array.
+
+    Returns a float for a scalar and a new array for an array.  The remainder,
+    Python's % or np.remainder, which round alike, can round a tiny negative
+    phase up to 2*pi itself, and fmod, exact, takes that to 0 and keeps the
+    rest.  A float takes both steps in plain Python, without numpy's per-call
+    overhead.  Raises ValueError, naming the first non-finite phase, unless
+    all are finite.
+    """
+    if isinstance(phi, float):
+        if not math.isfinite(phi):
+            raise ValueError(f"analyzer phase must be finite, got {phi}")
+        return math.fmod(phi % TWO_PI, TWO_PI)
+    wrapped = np.array(phi, dtype=float)
+    finite = np.isfinite(wrapped)
+    if not finite.all():
+        bad = float(wrapped[~finite][0])
+        raise ValueError(f"analyzer phase must be finite, got {bad}")
+    np.remainder(wrapped, TWO_PI, out=wrapped)
+    np.fmod(wrapped, TWO_PI, out=wrapped)
+    return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
 def analyzer_weights(phases) -> np.ndarray:
-    """(Z, X) weights (cos(phi), -sin(phi)) of sigma(phi) per phase, on a new last axis.
+    """Weights (cos(phi), sin(phi)) of sigma(phi) on (Z, -X) per phase, on a new last axis.
 
     Takes a phase or an array of phases, as given: callers wrap them first.
     """
     phases = np.asarray(phases, dtype=float)
     weights = np.empty(phases.shape + (2,))
-    z, x = weights[..., 0], weights[..., 1]
-    np.cos(phases, out=z)
-    np.sin(phases, out=x)
-    np.negative(x, out=x)
+    np.cos(phases, out=weights[..., 0])
+    np.sin(phases, out=weights[..., 1])
     return weights
 
 
@@ -152,16 +164,16 @@ def _izx_expansion(state: PureState | DensityMatrix) -> np.ndarray:
         rho = state.entries
     else:
         raise ValueError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    entries, paulis = rho.real.reshape((2,) * 6), _PAULI_IZX
+    entries, paulis = rho.real.reshape((2,) * 6), _ANALYZER_BASIS
     coeffs = np.einsum("abcdef,uda,veb,wfc->uvw", entries, paulis, paulis, paulis)
     coeffs.flags.writeable = False
     return coeffs
 
 
 def pauli_coefficients(state: PureState | DensityMatrix | StateTensor) -> np.ndarray:
-    """T[u, v, w] = Re tr(rho P_u x P_v x P_w) over P in (I, Z, X).
+    """T[u, v, w] = Re tr(rho P_u x P_v x P_w) over P in (I, Z, -X).
 
-    T[0, 0, 0] = tr(rho) = 1.  The Z/X block T[1:, 1:, 1:] gives every
+    T[0, 0, 0] = tr(rho) = 1.  The Z/-X block T[1:, 1:, 1:] gives every
     correlation, E = sum T[1+u, 1+v, 1+w] g_a[u] g_b[v] g_c[w] with
     g = analyzer_weights; the full tensor contracted with the port rows
     (1, +-g)/2 gives every outcome probability.
@@ -240,13 +252,13 @@ def _probabilities(state: PureState | DensityMatrix | StateTensor, phases) -> np
     """probs[index, outcome] for n wrapped phases per party, shape (3, n), unchecked.
 
     Rows run over the n**3 setting choices in row-major order and columns over
-    OUTCOME_LABELS.  Each party's two (I, Z, X) port rows (1, +-g)/2 per phase
+    OUTCOME_LABELS.  Each party's two (I, Z, -X) port rows (1, +-g)/2 per phase
     are contracted with the full coefficient tensor in one einsum.  Callers
     check the table once, with _checked_probabilities.
     """
-    g = 0.5 * analyzer_weights(phases)  # party, setting, (Z, X)
+    g = 0.5 * analyzer_weights(phases)  # party, setting, (Z, -X)
     n = g.shape[1]
-    rows = np.empty((3, n, 2, 3))  # party, setting, port, (I, Z, X)
+    rows = np.empty((3, n, 2, 3))  # party, setting, port, (I, Z, -X)
     rows[..., 0] = 0.5
     rows[..., 0, 1:] = g
     rows[..., 1, 1:] = -g
@@ -256,12 +268,12 @@ def _probabilities(state: PureState | DensityMatrix | StateTensor, phases) -> np
     return born.reshape((n, 2) * 3).transpose(0, 2, 4, 1, 3, 5).reshape(n**3, 8)
 
 
-def _setting_phases(settings, copies: int) -> list[list[float]]:
+def _setting_phases(settings, copies: int) -> np.ndarray:
     """The three phases wrapped, each given `copies` times; ValueError unless there are three."""
     phis = tuple(float(p) for p in settings)
     if len(phis) != 3:
         raise ValueError(f"expected 3 analyzer settings, got {len(phis)}")
-    return [[wrap_phase(phi)] * copies for phi in phis]
+    return wrap_phase([[phi] * copies for phi in phis])
 
 
 def outcome_distribution(

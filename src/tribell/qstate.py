@@ -39,7 +39,7 @@ class PureState:
         if not np.isfinite(amps).all():
             raise ValueError("state amplitudes must be finite, got NaN or inf")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:  # NaN, from an overflow, fails too
             raise ValueError(f"state is not normalized: |amplitudes|^2 = {norm_sq}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -63,10 +63,15 @@ class DensityMatrix:
             raise ValueError("density matrix entries must be finite, got NaN or inf")
         # Entries are finite here, so this accepts exactly what
         # np.allclose(rho, rho^dagger, rtol=0, atol=HERMITIAN_ATOL) accepts.
-        if np.abs(rho - rho.conj().T).max() > HERMITIAN_ATOL:
+        # Entries near the float limit overflow both checks to inf, or the
+        # trace to NaN where +inf meets -inf; either rejects the matrix, so
+        # the overflow is silent.
+        with np.errstate(over="ignore", invalid="ignore"):
+            asymmetry = np.abs(rho - rho.conj().T).max()
+            trace = complex(np.trace(rho))
+        if asymmetry > HERMITIAN_ATOL:
             raise ValueError("density matrix is not Hermitian")
-        trace = complex(np.trace(rho))
-        if abs(trace - 1.0) > TRACE_ATOL:
+        if not abs(trace - 1.0) <= TRACE_ATOL:
             raise ValueError(f"density matrix trace is {trace}, expected 1")
         smallest = float(np.linalg.eigvalsh(rho)[0])
         if smallest < -EIGENVALUE_ATOL:

@@ -3,7 +3,7 @@ analyzer reference, the all-scales Newton step reference and
 settings-equivalence helpers for the tests.
 
 The analyzer kets, projectors and observables below are built from the
-circular basis as 2x2 matrices, independently of the (Z, X) weights the
+circular basis as 2x2 matrices, independently of the (Z, -X) weights the
 package computes with, so that tests can check the weights against them.
 """
 
@@ -117,7 +117,7 @@ def reference_newton_step(state, functional, x, signs):
     """The saddle-free Newton step of f = sign * S, every backtracking scale tried.
 
     The optimizer's step written without its shortcuts: the form is built by
-    einsum in the weights g = (cos phi, -sin phi) of analyzer_weights, each
+    einsum in the weights g = (cos phi, sin phi) of analyzer_weights, each
     party's block by np.moveaxis, and the Hessian block by block.  Every row
     scores all of _BACKTRACK_SCALES and keeps the first trial no lower than f
     (within _VALUE_SLACK).  Returns the new (m, 6) phases and, per row, the
@@ -144,7 +144,7 @@ def reference_newton_step(state, functional, x, signs):
     hess = hess.reshape(m, 6, 2, 6, 2)
     w = g.reshape(m, 6, 2)
     field = np.einsum("mikjl,mjl->mik", hess, w) / 2.0
-    dw = np.stack((w[..., 1], -w[..., 0]), axis=-1)
+    dw = np.stack((-w[..., 1], w[..., 0]), axis=-1)
     grad = (field * dw).sum(axis=-1)
     h = np.einsum("mik,mikjl,mjl->mij", dw, hess, dw)
     h[:, np.arange(6), np.arange(6)] -= (field * w).sum(axis=-1)

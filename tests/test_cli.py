@@ -609,6 +609,41 @@ def test_state_file_beyond_float_range_names_accepted_forms(capsys, tmp_path):
     assert "8x8 matrix" in message
 
 
+def _opposite_entries(value: float) -> list:
+    rho = [[[0.125 if i == j else 0.0, 0.0] for j in range(8)] for i in range(8)]
+    rho[0][1], rho[1][0] = [value, 0.0], [-value, 0.0]
+    return rho
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([[1e155, 1e155]] + [[0, 0]] * 7, "state is not normalized: |amplitudes|^2 = nan"),
+        (_opposite_entries(1e308), "density matrix is not Hermitian"),
+        ([[[1e308 if i == j else 0.0, 0.0] for j in range(8)] for i in range(8)],
+         "density matrix trace is (inf+0j), expected 1"),
+    ],
+)
+def test_state_file_near_the_float_limit_exits_two_with_one_error(capsys, tmp_path, data, message):
+    # Each overflows in validation; stderr must hold the one error object and
+    # no numpy warning (an error under this suite's filterwarnings).
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(data))
+    for request in (["optimize", "--functional", "mermin"], ["correlations", "--pairs", "0,90"]):
+        code, out, err = run_cli(capsys, *request, "--state", str(state_path))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": message}
+
+
+@pytest.mark.parametrize("angles", ["nan", "inf", "-inf", "0,inf,nan"])
+@pytest.mark.parametrize("radians", [[], ["--radians"]])
+def test_correlations_at_a_non_finite_angle_exits_two(capsys, angles, radians):
+    code, out, err = run_cli(capsys, "correlations", f"--angles={angles}", *radians)
+    assert (code, out) == (2, "")
+    first = next(value for value in angles.split(",") if not math.isfinite(float(value)))
+    assert json.loads(err) == {"error": f"analyzer phase must be finite, got {float(first)}"}
+
+
 def test_state_file_nested_too_deeply_exits_two(capsys, tmp_path):
     state_path = tmp_path / "deep.json"
     state_path.write_text("[" * 100_000 + "]" * 100_000)

@@ -43,9 +43,9 @@ from tribell.optimizer import (
     _newton_step,
     _party_blocks,
     _trilinear_form,
-    _weights,
     circular_distance,
 )
+from tribell.polarimetry import analyzer_weights
 
 QUOTED_OPTIMUM = symmetric_pairs(math.radians(35.264), math.radians(144.736))
 
@@ -62,8 +62,8 @@ def test_objective_is_absolute_functional_value(seed):
     x = random_angles(rng, 6)
     pairs = tuple(SettingsPair(x[2 * p], x[2 * p + 1]) for p in range(3))
     tensor = correlation_tensor(rho, pairs)
-    # Weights (cos phi, -sin phi) of phi_a, phi'_a, ..., phi'_c, one row per party.
-    g = np.stack((np.cos(x), -np.sin(x)), axis=-1).reshape(3, 4)
+    # Weights (cos phi, sin phi) on (Z, -X) of phi_a, phi'_a, ..., phi'_c, one row per party.
+    g = np.stack((np.cos(x), np.sin(x)), axis=-1).reshape(3, 4)
     for functional in Functional:
         expected = abs(functional_value(tensor, functional))
         form = _trilinear_form(rho, functional)
@@ -285,7 +285,7 @@ def test_visibility_does_not_move_the_optimum(name, functional):
 
 def _form_values(form, x) -> np.ndarray:
     """S at each row of the (m, 6) phases x, contracted from the form directly."""
-    g = np.stack((np.cos(x), -np.sin(x)), axis=-1).reshape(-1, 3, 4)
+    g = np.stack((np.cos(x), np.sin(x)), axis=-1).reshape(-1, 3, 4)
     return np.einsum("abc,ma,mb,mc->m", form, g[:, 0], g[:, 1], g[:, 2])
 
 
@@ -303,7 +303,7 @@ def test_newton_step_never_descends_and_ascent_ends_at_local_maxima(seed):
         x = np.concatenate((starts, swept))
         before = _form_values(form, x)
         signs = np.where(before >= 0.0, 1.0, -1.0)[:, None]
-        g = _weights(x).reshape(-1, 3, 4)
+        g = analyzer_weights(x).reshape(-1, 3, 4)
         after = signs[:, 0] * _form_values(form, _newton_step(blocks, x, g, signs))
         assert np.all(after >= np.abs(before) * (1.0 - 1e-13))
         ends, values, iterations = _ascend(form, starts, 1e-8, 2000)

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import re
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import (
     analyzer_observable,
@@ -93,7 +95,7 @@ def test_analyzer_weights_are_the_kronecker_observables_z_and_x_parts(phases):
     for phi, (z, x) in zip(phases, weights):
         obs = analyzer_observable(phi)
         assert abs(z - 0.5 * np.trace(obs @ PAULI_Z).real) < 1e-12
-        assert abs(x - 0.5 * np.trace(obs @ PAULI_X).real) < 1e-12
+        assert abs(x - 0.5 * np.trace(obs @ -PAULI_X).real) < 1e-12
     column = analyzer_weights(np.array(phases)[:, None])
     assert column.shape == (len(phases), 1, 2)
     assert np.array_equal(column[:, 0], weights)
@@ -106,6 +108,61 @@ def test_wrap_phase_canonicalizes():
     assert 0.0 <= wrap_phase(-1e-20) < TWO_PI
     with pytest.raises(ValueError):
         wrap_phase(math.nan)
+
+
+def _reference_wrap(phi: float) -> float:
+    """Python's float % with a remainder rounded up to 2*pi taken to 0."""
+    wrapped = phi % TWO_PI
+    return 0.0 if wrapped >= TWO_PI else wrapped
+
+
+WRAP_EDGES = [-1e-20, -0.0, 0.0, TWO_PI, -TWO_PI, 8 * math.pi, -8 * math.pi, 1e300, -1e300,
+              5e-324, -5e-324]
+
+
+@given(
+    phases=hnp.arrays(
+        float,
+        hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=5),
+        elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(WRAP_EDGES)),
+    )
+)
+@example(phases=np.array(WRAP_EDGES))
+@example(phases=np.array(WRAP_EDGES).reshape(11, 1, 1))
+def test_wrap_phase_of_an_array_is_the_scalar_rule_bitwise(phases):
+    given_phases = phases.copy()
+    wrapped = wrap_phase(phases)
+    assert isinstance(wrapped, np.ndarray) and wrapped is not phases
+    assert wrapped.shape == phases.shape
+    assert np.array_equal(phases.view(np.uint64), given_phases.view(np.uint64))
+    expected = np.array([_reference_wrap(phi) for phi in phases.ravel().tolist()])
+    # Compared as bits, so -0.0 against 0.0 fails.
+    assert np.array_equal(wrapped.ravel().view(np.uint64), expected.view(np.uint64))
+    for phi, bits in zip(phases.ravel().tolist(), expected.view(np.uint64).tolist()):
+        scalar = wrap_phase(phi)
+        assert type(scalar) is float
+        assert np.array(scalar).view(np.uint64) == bits
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_is_refused_at_every_entry_point(bad):
+    # Raised before any arithmetic, so no RuntimeWarning, an error under
+    # this suite's filterwarnings, is emitted either.
+    message = f"^{re.escape(f'analyzer phase must be finite, got {bad}')}$"
+    calls = (
+        lambda: wrap_phase(bad),
+        lambda: wrap_phase(np.array([bad])),
+        # The first non-finite phase is named, here and in the tuples below.
+        lambda: wrap_phase(np.array([[0.5, bad], [math.nan, -math.inf]])),
+        lambda: wrap_phase([[1e300, bad, math.inf]]),
+        lambda: correlation(make_w(), (0.0, bad, math.nan)),
+        lambda: outcome_distribution(make_w(), (bad, 1.0, -math.inf)),
+        lambda: outcome_distribution(StateTensor(make_w(), 0.5), (2.0, 3.0, bad)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_w_distribution_at_hv_settings():
@@ -368,7 +425,7 @@ def test_zx_coefficients_equal_kronecker_traces_bitwise(state, visibility):
     # The optimizer's objective reads these coefficients, so its reported
     # optima for the named states depend on every bit of them.
     mixed = mix_with_white_noise(as_density(state), visibility)
-    paulis = (PAULI_Z, PAULI_X)
+    paulis = (PAULI_Z, -PAULI_X)
     reference = np.empty((2, 2, 2))
     for u, v, w in np.ndindex(2, 2, 2):
         op = np.kron(np.kron(paulis[u], paulis[v]), paulis[w])

@@ -1,6 +1,7 @@
 """Tests for state construction, noise mixing, and serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ def test_pure_state_rejects_unnormalized():
         PureState(np.ones(8))
 
 
+@pytest.mark.parametrize("first, norm_sq", [(1e155 + 1e155j, "nan"), (1e200, "inf")])
+def test_pure_state_rejects_a_norm_that_overflows(first, norm_sq):
+    # |1e155 + 1e155j|^2 overflows, and np.vdot gives nan + nanj: NaN fails the check.
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = first
+    with pytest.raises(ValueError, match=re.escape(f"|amplitudes|^2 = {norm_sq}")):
+        PureState(amps)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_pure_state_rejects_non_finite(bad):
     amps = np.zeros(8, dtype=complex)
@@ -98,6 +108,31 @@ def test_density_matrix_rejects_bad_inputs():
     negative[1, 1] = -0.5
     with pytest.raises(ValueError):
         DensityMatrix(negative)
+
+
+def _near_float_limit(kind: str) -> np.ndarray:
+    rho = np.eye(8, dtype=complex) / 8.0
+    if kind == "diagonal":  # the trace overflows to inf
+        np.fill_diagonal(rho, 1e308)
+    elif kind == "opposite diagonal":  # the trace's pairwise sum meets inf - inf
+        np.fill_diagonal(rho, [1e308, 1e308, -1e308, -1e308, 0.25, 0.25, 0.25, 0.25])
+    else:  # rho - rho^dagger overflows
+        rho[0, 1], rho[1, 0] = 1e308, -1e308
+    return rho
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("diagonal", "density matrix trace is (inf+0j), expected 1"),
+        ("opposite diagonal", "density matrix trace is (nan+0j), expected 1"),
+        ("off-diagonal", "density matrix is not Hermitian"),
+    ],
+)
+def test_density_matrix_rejects_entries_near_the_float_limit_without_a_warning(kind, message):
+    # This suite's filterwarnings turns an overflow warning into a failure.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DensityMatrix(_near_float_limit(kind))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
