@@ -10,7 +10,7 @@ import json
 import math
 import sys
 from importlib import resources
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
 
@@ -38,19 +38,27 @@ NAMED_STATES = MappingProxyType({
 #: path that never ends, such as /dev/zero, is refused after this many.
 MAX_STATE_FILE_BYTES = 2**20
 
+#: Bytes asked of a state file per read.  CPython allocates the whole request
+#: before reading, so one read of the full cap costs a small file 1 MiB.
+_STATE_READ_CHUNK = 2**16
+
 
 _CONTAINERS = (dict, list, tuple)
 
 
 @functools.cache
-def _flat_encoder(depth: int) -> json.JSONEncoder:
+def _flat_encoder(depth: int):
     """The stdlib's C encoder for a value at this nesting depth of a report.
 
-    Its item separator holds the newline and indent of the depth's items.
-    json itself falls back to its pure-Python encoder whenever indent is set.
+    It is the encoder json.JSONEncoder(sort_keys=True, allow_nan=False) builds
+    afresh for every encode call, built once per depth here.  Its item
+    separator holds the newline and indent of the depth's items: json itself
+    falls back to its pure-Python encoder whenever indent is set.  Called as
+    encoder(value, 0), it returns the text in chunks.
     """
-    return json.JSONEncoder(
-        sort_keys=True, allow_nan=False, separators=(",\n" + "  " * (depth + 1), ": ")
+    return c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * (depth + 1), True, False, False,
     )
 
 
@@ -62,14 +70,14 @@ def _write_json(value, depth: int, parts: list) -> None:
     walked here must be str, as every report's are.
     """
     if not isinstance(value, _CONTAINERS):
-        parts.append(_flat_encoder(depth).encode(value))
+        parts.extend(_flat_encoder(depth)(value, 0))
         return
     is_dict = isinstance(value, dict)
     outer = "\n" + "  " * depth
     inner = outer + "  "
     if not any(isinstance(member, _CONTAINERS)
                for member in (value.values() if is_dict else value)):
-        text = _flat_encoder(depth).encode(value)
+        text = "".join(_flat_encoder(depth)(value, 0))
         # '[a,<inner>b]' becomes '[<inner>a,<inner>b<outer>]'; '[]' stays.
         parts.append(text[0] + inner + text[1:-1] + outer + text[-1] if value else text)
         return
@@ -130,10 +138,14 @@ def _load_state(state_arg: str):
             f"unknown state {state_arg!r}: use one of {tuple(NAMED_STATES)} "
             "or a JSON file path"
         )
-    with path.open("rb") as file:  # one bounded read: a pipe has no size to check
-        raw = file.read(MAX_STATE_FILE_BYTES + 1)
-    if len(raw) > MAX_STATE_FILE_BYTES:
+    chunks, size = [], 0
+    with path.open("rb") as file:  # bounded reads: a pipe has no size to check
+        while size <= MAX_STATE_FILE_BYTES and (chunk := file.read(_STATE_READ_CHUNK)):
+            chunks.append(chunk)
+            size += len(chunk)
+    if size > MAX_STATE_FILE_BYTES:
         raise ValueError(f"state file {state_arg!r} is over {MAX_STATE_FILE_BYTES} bytes")
+    raw = b"".join(chunks)
     try:
         data = json.loads(raw)
     except RecursionError:
@@ -393,11 +405,11 @@ def _add_common(parser, state: bool = True, angles: bool = False):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process.
+def _parsers() -> tuple[argparse.ArgumentParser, MappingProxyType]:
+    """The CLI's parser and each subcommand's own parser by name, built once per process.
 
-    Parsing leaves it unchanged: each parse_args call fills a fresh Namespace,
-    and help and usage text are formatted when printed.
+    Parsing leaves them unchanged: each parse fills a fresh Namespace, and
+    help and usage text are formatted when printed.
     """
     parser = argparse.ArgumentParser(
         prog="tribell",
@@ -446,14 +458,37 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pairs", help="phi,phi' for all parties, or six per-party values")
     p.set_defaults(func=cmd_correlations)
 
-    return parser
+    return parser, MappingProxyType(sub.choices)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process with its subcommands' parsers."""
+    return _parsers()[0]
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The Namespace build_parser().parse_args(argv) returns, with the same usage errors.
+
+    An argv that starts with a subcommand is parsed once, by that subcommand's
+    parser; the top-level parser would hand it every token after the name
+    anyway, after first classifying each against its own options.  Tokens
+    left over are refused by the top-level parser, as argparse refuses them.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     if getattr(args, "visibility", None) is not None and not 0.0 <= args.visibility <= 1.0:
-        parser.error("--visibility must lie in [0, 1]")
+        build_parser().error("--visibility must lie in [0, 1]")
     try:
         if args.output == "":
             raise ValueError("--output must be a file path, got ''")

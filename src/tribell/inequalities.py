@@ -69,8 +69,7 @@ class SettingsPair:
     def __post_init__(self):
         for name in ("phi", "phi_prime"):
             value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            wrap_phase(value)  # refuses a non-finite phase
             object.__setattr__(self, name, value)
 
     def setting(self, index: int) -> float:

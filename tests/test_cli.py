@@ -1,10 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -175,18 +178,37 @@ json_payloads = st.recursive(
 @example(payload={"": {}, "a": [[], {}, ()], "b": [[[]]]})
 @example(payload={"k\u00e9\n\"": ['q"\\\x00\x1f\u2028\ud800\U0001f600', -0.0, 5e-324, 1e16]})
 @example(payload=({"z": 2**70, "a": [True, None, {"x": (False,)}]}, -(2**70), "é"))
+@example(payload='q"\\\x00\u2028\ud800\U0001f600é')
+@example(payload=-(2**70))
+@example(payload=-0.0)
+@example(payload=True)
+@example(payload=False)
+@example(payload=None)
+@example(payload={"a": [[]], "s": "é", "i": 2**70, "f": 5e-324, "t": True, "n": None})
+@example(payload=[[], "é", -7, 1e16, False, None])
 def test_report_writer_prints_the_stdlib_indent_2_layout(payload):
+    """Scalars at depth 0 and beside a container take the writer's scalar branch."""
     assert cli.render_json(payload) == _stdlib_indent_2(payload)
 
 
 @pytest.mark.parametrize(
     "payload",
-    [math.inf, [1.0, -math.inf], {"a": 1, "b": math.nan}, {"a": [{"b": math.inf}], "c": []}],
-    ids=["scalar", "flat-list", "flat-dict", "nested"],
+    [math.inf, [1.0, -math.inf], {"a": 1, "b": math.nan}, {"a": [{"b": math.inf}], "c": []},
+     -math.inf, math.nan, {"a": [], "b": math.nan}, [[], [[], -math.inf]]],
+    ids=["scalar", "flat-list", "flat-dict", "nested", "scalar-minus-inf", "scalar-nan",
+         "beside-a-container", "nested-beside-a-container"],
 )
 def test_report_writer_refuses_a_non_finite_float(payload):
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         cli.render_json(payload)
+
+
+def test_report_writer_builds_each_depth_encoder_once():
+    payload = {"a": [{"b": [1, "c"]}, None], "d": 1.5}
+    cli.render_json(payload)
+    built = cli._flat_encoder.cache_info().misses
+    assert cli.render_json(payload) == _stdlib_indent_2(payload)
+    assert cli._flat_encoder.cache_info().misses == built
 
 
 def test_sample_csv_counts(capsys):
@@ -341,9 +363,90 @@ def test_parser_is_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()
 
 
+def _parse_outcome(parse, argv):
+    """What parse(argv) returns, or its exit code, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_parse_matches_the_full_parser(argv):
+    assert _parse_outcome(cli.parse_args, argv) == _parse_outcome(
+        cli.build_parser().parse_args, argv
+    )
+
+
+PARSE_CORPUS = [
+    [],
+    ["-h"],
+    ["nosuch"],
+    ["--format", "json", "reproduce"],
+    ["reproduce", "--", "x"],
+    ["reproduce", "reproduce"],
+    ["reproduce", "-x"],
+    ["reproduce", "extra"],
+    ["correlations", "--vis", "0.5", "--angles", "0"],
+    ["--vis", "0.5"],
+    ["correlations", "--r", "--angles", "0"],
+    ["--r"],
+    ["sample", "--h"],
+    ["--h"],
+    ["sample", "--s", "w", "--pairs", "0,90", "--shots", "10"],
+    ["correlations", "--angles=-5,1,2"],
+    ["correlations", "--angles", "-5"],
+    ["sample", "--pairs", "-1,2", "--shots", "10"],
+    ["reproduce", "--format", "json", "--format", "csv"],
+    ["correlations", "--angles", "0", "--pairs", "0,90"],
+    ["sample", "--pairs", "0,90", "--shots", "abc"],
+    ["reproduce", "--format", "json"],
+    ["optimize", "--state", "ghz-rl", "--functional", "mermin", "--seed", "3"],
+    ["lhv-scan", "--functional", "svetlichny", "--model", "hybrid", "--format", "csv"],
+    ["sample", "--pairs", "0,90", "--shots", "10", "--functional", "mermin", "--radians"],
+    ["correlations", "--state", "w", "--visibility", "0.5", "--pairs", "90,0"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_parse_matches_the_full_parser(argv):
+    _assert_parse_matches_the_full_parser(argv)
+
+
+PARSE_TOKENS = st.one_of(
+    st.sampled_from([
+        "reproduce", "optimize", "lhv-scan", "sample", "correlations", "nosuch",
+        "-h", "--help", "--h", "--", "-", "-x", "--s", "--st", "--f", "--fo", "--v", "--r",
+        "--format", "--format=csv", "--output", "--state", "--visibility", "--vis=0.5",
+        "--radians", "--angles", "--angles=-5,1,2", "--pairs", "--shots", "--shots=10",
+        "--seed", "--restarts", "--functional", "--model",
+        "json", "csv", "table", "w", "ghz-hv", "mermin", "both", "hybrid",
+        "0", "-5", "0.5", "1.5", "0,90", "-1,2", "nan", "abc", "x",
+    ]),
+    st.text(max_size=4),
+)
+
+
+PARSE_ARGV = st.one_of(
+    st.lists(PARSE_TOKENS, max_size=8),
+    st.builds(
+        lambda command, rest: [command, *rest],
+        st.sampled_from(["reproduce", "optimize", "lhv-scan", "sample", "correlations"]),
+        st.lists(PARSE_TOKENS, max_size=7),
+    ),
+)
+
+
+@given(argv=PARSE_ARGV)
+def test_drawn_argv_parse_matches_the_full_parser(argv):
+    _assert_parse_matches_the_full_parser(argv)
+
+
 def test_usage_error_leaves_no_trace_in_the_next_request(capsys):
     argv = [*REQUESTS["sample"], "--format", "json"]
-    cli.build_parser.cache_clear()
+    cli._parsers.cache_clear()
     fresh = run_cli(capsys, *argv)
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["sample", "--state", "w", "--pairs", "90,0", "--shots", "abc"])
@@ -644,6 +747,18 @@ def test_correlations_at_a_non_finite_angle_exits_two(capsys, angles, radians):
     assert json.loads(err) == {"error": f"analyzer phase must be finite, got {float(first)}"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["correlations", "--pairs=nan,0"], ["correlations", "--pairs=0,0,0,nan,0,0"],
+     ["sample", "--pairs=nan,0", "--shots", "10"], ["correlations", "--angles=nan"]],
+    ids=" ".join,
+)
+def test_every_non_finite_phase_flag_gives_one_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "analyzer phase must be finite, got nan"}
+
+
 def test_state_file_nested_too_deeply_exits_two(capsys, tmp_path):
     state_path = tmp_path / "deep.json"
     state_path.write_text("[" * 100_000 + "]" * 100_000)
@@ -668,6 +783,34 @@ def test_state_file_is_read_up_to_its_byte_budget(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert f"over {cli.MAX_STATE_FILE_BYTES} bytes" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("extra, accepted", [(0, True), (1, False)], ids=["cap", "cap+1"])
+def test_state_pipe_is_read_up_to_its_byte_budget(capsys, tmp_path, extra, accepted):
+    """A pipe has no size to check: its bytes arrive over many reads."""
+    text = json.dumps(make_w().to_jsonable()).ljust(cli.MAX_STATE_FILE_BYTES + extra)
+    fifo = tmp_path / "state.pipe"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "w") as pipe:
+            pipe.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "correlations", "--state", str(fifo), "--angles", "0", "--format", "json"
+        )
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    if accepted:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["correlation"] == -1.0
+    else:
+        assert (code, out) == (2, "")
+        assert f"over {cli.MAX_STATE_FILE_BYTES} bytes" in json.loads(err)["error"]
 
 
 def test_reproduce_contracts_each_state_and_settings_pair_once(monkeypatch):
