@@ -128,63 +128,60 @@ def _emit(args, payload, csv_rows, table_lines) -> None:
         sys.stdout.write(text)
 
 
-def _load_state(state_arg: str):
-    named = NAMED_STATES.get(state_arg.lower())
-    if named is not None:
-        return named
-    path = Path(state_arg)
-    if not path.exists() or path.is_dir():
-        raise ValueError(
-            f"unknown state {state_arg!r}: use one of {tuple(NAMED_STATES)} "
-            "or a JSON file path"
-        )
-    chunks, size = [], 0
-    with path.open("rb") as file:  # bounded reads: a pipe has no size to check
-        while size <= MAX_STATE_FILE_BYTES and (chunk := file.read(_STATE_READ_CHUNK)):
-            chunks.append(chunk)
-            size += len(chunk)
-    if size > MAX_STATE_FILE_BYTES:
-        raise ValueError(f"state file {state_arg!r} is over {MAX_STATE_FILE_BYTES} bytes")
-    raw = b"".join(chunks)
-    try:
-        data = json.loads(raw)
-    except RecursionError:
-        raise ValueError(f"state file {state_arg!r} is nested too deeply") from None
-    return state_from_jsonable(data)
+def _request_state(args) -> StateTensor:
+    """The request's state tensor at its --visibility, shared by every step.
 
-
-def _prepare_state(args) -> StateTensor:
-    """The request's state tensor at its --visibility (1 if unset), shared by every step.
-
-    A named state is already a tensor and a state file is validated once;
-    white noise only rescales the tensor.
+    A named state with no --visibility is its NAMED_STATES tensor itself; a
+    state file is read up to MAX_STATE_FILE_BYTES and validated once; white
+    noise only rescales the tensor.
     """
-    visibility = 1.0 if args.visibility is None else args.visibility
-    return StateTensor(_load_state(args.state), visibility)
+    state = NAMED_STATES.get(args.state.lower())
+    if state is None:
+        path = Path(args.state)
+        if not path.exists() or path.is_dir():
+            raise ValueError(
+                f"unknown state {args.state!r}: use one of {tuple(NAMED_STATES)} "
+                "or a JSON file path"
+            )
+        chunks, size = [], 0
+        with path.open("rb") as file:  # bounded reads: a pipe has no size to check
+            while size <= MAX_STATE_FILE_BYTES and (chunk := file.read(_STATE_READ_CHUNK)):
+                chunks.append(chunk)
+                size += len(chunk)
+        if size > MAX_STATE_FILE_BYTES:
+            raise ValueError(f"state file {args.state!r} is over {MAX_STATE_FILE_BYTES} bytes")
+        try:
+            data = json.loads(b"".join(chunks))
+        except RecursionError:
+            raise ValueError(f"state file {args.state!r} is nested too deeply") from None
+        state = state_from_jsonable(data)
+    elif args.visibility is None:
+        return state
+    return StateTensor(state, 1.0 if args.visibility is None else args.visibility)
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
+def _angle_list(text: str, flag: str, shared: int, radians_flag: bool) -> list[float]:
+    """The angles of a comma-separated flag value, in radians, 3 * shared of them.
+
+    `shared` values are given once for all three parties, 3 * shared give each
+    party its own.  They are degrees unless --radians was given, and are
+    returned as given, unwrapped.
+    """
     try:
-        return [float(part) for part in text.split(",")]
+        values = [float(part) for part in text.split(",")]
     except ValueError:
-        raise ValueError(f"{what} must be comma-separated numbers, got {text!r}")
-
-
-def _to_radians(values, radians_flag: bool) -> list[float]:
-    return list(values) if radians_flag else [math.radians(v) for v in values]
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+    if len(values) == shared:
+        values *= 3
+    elif len(values) != 3 * shared:
+        noun = "value" if shared == 1 else "values"
+        raise ValueError(f"{flag} takes {shared} {noun} (all parties) or {3 * shared} (per party)")
+    return values if radians_flag else [math.radians(v) for v in values]
 
 
 def _parse_pairs(text: str, radians_flag: bool) -> tuple[SettingsPair, ...]:
-    values = _to_radians(_parse_floats(text, "--pairs"), radians_flag)
-    if len(values) == 2:
-        return symmetric_pairs(values[0], values[1])
-    if len(values) == 6:
-        return tuple(SettingsPair(values[2 * p], values[2 * p + 1]) for p in range(3))
-    raise ValueError("--pairs takes 2 values (all parties) or 6 (per party)")
-
-
-def _scenario_degenerate(pairs) -> bool:
-    return any(pair.is_degenerate for pair in pairs)
+    phases = _angle_list(text, "--pairs", 2, radians_flag)
+    return tuple(SettingsPair(phases[p], phases[p + 1]) for p in (0, 2, 4))
 
 
 @functools.cache
@@ -274,7 +271,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_optimize(args) -> int:
     shots.check_integer(args.restarts, "--restarts", 0, optimizer.MAX_RANDOM_RESTARTS)
-    state = _prepare_state(args)
+    state = _request_state(args)
     config = optimizer.OptimizationConfig(seed=args.seed, random_restarts=args.restarts)
     functional = Functional(args.functional)
     result = optimizer.optimize(state, functional, config)
@@ -310,14 +307,14 @@ def cmd_lhv_scan(args) -> int:
 
 def cmd_sample(args) -> int:
     shots.check_integer(args.shots, "--shots", 1, shots.MAX_SHOTS_PER_SETTING, "2**63 - 1")
-    state = _prepare_state(args)
+    state = _request_state(args)
     pairs = _parse_pairs(args.pairs, args.radians)
     table = shots.sample_counts(state, pairs, args.shots, args.seed)
     estimated = shots.estimate_tensor(table)
     functionals = (
         list(Functional) if args.functional == "both" else [Functional(args.functional)]
     )
-    degenerate = _scenario_degenerate(pairs)
+    degenerate = any(pair.is_degenerate for pair in pairs)
     reports = {
         f.value: shots.estimate_inequality(estimated, f, degenerate) for f in functionals
     }
@@ -343,11 +340,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_correlations(args) -> int:
-    state = _prepare_state(args)
-    if args.pairs:
+    state = _request_state(args)
+    if args.pairs is not None:
         pairs = _parse_pairs(args.pairs, args.radians)
         tensor = correlation_tensor(state, pairs)
-        degenerate = _scenario_degenerate(pairs)
+        degenerate = any(pair.is_degenerate for pair in pairs)
         reports = {
             f.value: classify(functional_value(tensor, f), f, degenerate=degenerate)
             for f in Functional
@@ -363,11 +360,7 @@ def cmd_correlations(args) -> int:
               f"{rep.classification.value}" for name, rep in reports.items()),
         ])
         return 0
-    values = _to_radians(_parse_floats(args.angles, "--angles"), args.radians)
-    if len(values) == 1:
-        values = values * 3
-    if len(values) != 3:
-        raise ValueError("--angles takes 1 value (all parties) or 3 (per party)")
+    values = _angle_list(args.angles, "--angles", 1, args.radians)
     dist = outcome_distribution(state, values).to_jsonable()
     value = correlation(state, values)
     payload = {

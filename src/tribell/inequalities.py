@@ -61,23 +61,21 @@ SIGN_TENSOR = {
 
 @dataclass(frozen=True)
 class SettingsPair:
-    """Unprimed/primed analyzer phase pair for one party (radians)."""
+    """One party's unprimed/primed analyzer phases in radians, stored wrapped into [0, 2*pi)."""
 
     phi: float
     phi_prime: float
 
     def __post_init__(self):
-        for name in ("phi", "phi_prime"):
-            value = float(getattr(self, name))
-            wrap_phase(value)  # refuses a non-finite phase
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "phi", wrap_phase(float(self.phi)))
+        object.__setattr__(self, "phi_prime", wrap_phase(float(self.phi_prime)))
 
     def setting(self, index: int) -> float:
         return self.phi if index == 0 else self.phi_prime
 
     @property
     def is_degenerate(self) -> bool:
-        return wrap_phase(self.phi) == wrap_phase(self.phi_prime)
+        return self.phi == self.phi_prime
 
 
 def symmetric_pairs(phi: float, phi_prime: float) -> tuple[SettingsPair, ...]:
@@ -118,14 +116,14 @@ class CorrelationTensor:
 
 
 def pair_phases(pairs) -> np.ndarray:
-    """Each party's (phi, phi') wrapped by wrap_phase, shape (3, 2).
+    """Each party's stored, already wrapped (phi, phi'), shape (3, 2).
 
     Raises ValueError unless pairs holds one SettingsPair per party.
     """
     pairs = tuple(pairs)
     if len(pairs) != 3:
         raise ValueError(f"expected one SettingsPair per party, got {len(pairs)}")
-    return wrap_phase([[p.phi, p.phi_prime] for p in pairs])
+    return np.array([[p.phi, p.phi_prime] for p in pairs])
 
 
 def correlation_tensor(

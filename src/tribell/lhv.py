@@ -236,8 +236,9 @@ def mixture_tensor(weights) -> CorrelationTensor:
     if not weights:
         raise ValueError("mixture requires at least one (probability, strategy) pair")
     probs = np.array([float(p) for p, _ in weights])
-    if probs.min() < 0.0:
-        raise ValueError(f"mixture probabilities must be nonnegative, got {probs.min()}")
+    bad = probs[~(probs >= 0.0)]  # NaN fails the comparison too
+    if bad.size:
+        raise ValueError(f"mixture probabilities must be nonnegative, got {bad[0]}")
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"mixture probabilities sum to {total}, expected 1")

@@ -74,18 +74,25 @@ class CountTable:
     """Outcome counts per setting choice: counts[i, j, k, outcome_index].
 
     outcome_index runs over the outcome triples in OUTCOME_LABELS order.
+    A signed integer array, as sample_counts draws, is taken as it is; any
+    other input must hold whole numbers in [0, 2**63 - 1], floats included.
     """
 
     counts: np.ndarray
     n_shots_per_setting: int
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64).reshape(2, 2, 2, 8)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind != "i":
+            counts = [_whole_count(count) for count in counts.ravel().tolist()]
+        counts = np.array(counts, dtype=np.int64).reshape(2, 2, 2, 8)
         if counts.min() < 0:
             raise ValueError("outcome counts must be nonnegative")
         n = check_integer(self.n_shots_per_setting, "n_shots_per_setting", 1,
                           MAX_SHOTS_PER_SETTING, "2**63 - 1")
         sums = counts.sum(axis=-1)
+        if counts.max() > MAX_SHOTS_PER_SETTING // 8:  # eight could overflow an int64 sum
+            sums = counts.astype(object).sum(axis=-1)
         if not (sums == n).all():
             raise ValueError("each setting choice must hold exactly n_shots counts")
         counts.flags.writeable = False
@@ -108,6 +115,13 @@ class CountTable:
                 for label, count in zip(OUTCOME_LABELS, row)
             ),
         ]
+
+
+def _whole_count(count) -> int:
+    """count as an int; ValueError, naming it, unless it is a whole number in [0, 2**63 - 1]."""
+    if isinstance(count, float) and count.is_integer():
+        count = int(count)
+    return check_integer(count, "outcome count", 0, MAX_SHOTS_PER_SETTING, "2**63 - 1")
 
 
 def _setting_stream(seed: int, choice_index: int) -> np.random.Generator:

@@ -69,12 +69,6 @@ def random_angles(rng, n: int = 3) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * np.pi, n)
 
 
-def _wrap_settings(settings) -> tuple:
-    return tuple(
-        SettingsPair(wrap_phase(p.phi), wrap_phase(p.phi_prime)) for p in settings
-    )
-
-
 def objective_symmetries(settings) -> list:
     """The settings and their flip phi -> -phi of all six phases, wrapped to [0, 2*pi).
 
@@ -85,11 +79,8 @@ def objective_symmetries(settings) -> list:
     XXX, changes sign.  It is no symmetry of states in general, real ones
     included.  Per-party 2*pi shifts are symmetries trivially.
     """
-    settings = tuple(settings)
-    identity = _wrap_settings(settings)
-    flipped = _wrap_settings(
-        SettingsPair(-p.phi, -p.phi_prime) for p in settings
-    )
+    identity = tuple(settings)  # a SettingsPair holds its phases wrapped
+    flipped = tuple(SettingsPair(-p.phi, -p.phi_prime) for p in identity)
     out = [identity]
     if flipped != identity:
         out.append(flipped)

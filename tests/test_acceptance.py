@@ -7,6 +7,7 @@ asserts, so the suite doubles as a human-readable scorecard.
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from tribell import (
     svetlichny_value,
     symmetric_pairs,
 )
+from tribell.cli import run_reproduction
 
 TESTED_PAIRS = symmetric_pairs(math.pi / 2.0, 0.0)
 QUOTED_PAIRS = symmetric_pairs(math.radians(35.264), math.radians(144.736))
@@ -258,3 +260,27 @@ def test_criterion_8_property_suites():
         not failures,
         "all six property families hold" if not failures else "; ".join(failures),
     )
+
+
+#: README's headline rows that print a reproduce value, and the manifest row of each.
+README_ROWS = {
+    "max S_V of W, at φ = 35.264°, φ' = 144.736°": "svetlichny-w-optimal-settings",
+    "critical visibility for the W Svetlichny violation": "critical-visibility-w",
+}
+
+
+def test_readme_headline_figures_are_the_computed_ones():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    values = {row["id"]: row["value"] for row in run_reproduction()}
+    for label, row_id in README_ROWS.items():
+        prefix = f"| {label} | "
+        (line,) = [line for line in lines if line.startswith(prefix)]
+        figure = line[len(prefix):].split()[0]
+        decimals = len(figure.partition(".")[2])
+        computed = f"{values[row_id]:.{decimals}f}"
+        _check(
+            f"README figure ({label})",
+            figure == computed,
+            f"README prints {figure}, reproduce computes {values[row_id]!r}",
+        )

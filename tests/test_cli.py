@@ -298,7 +298,14 @@ def test_named_states_are_read_only_tensors_of_their_states(name, make):
         named.visibility = 0.5
     with pytest.raises(TypeError):
         cli.NAMED_STATES[name] = StateTensor(make(), 0.5)
-    assert cli._load_state(name.upper()) is named
+    # A request reads the named tensor itself, and rescales it only for a --visibility.
+    argv = ["correlations", "--state", name.upper(), "--angles", "0"]
+    assert cli._request_state(cli.parse_args(argv)) is named
+    for visibility in ("1", "0.9"):
+        state = cli._request_state(cli.parse_args([*argv, "--visibility", visibility]))
+        assert state is not named
+        assert (state.values.tobytes()
+                == StateTensor(named, float(visibility)).values.tobytes())
 
 
 # The named states are tensors built when cli is imported: a request that
@@ -757,6 +764,25 @@ def test_every_non_finite_phase_flag_gives_one_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "analyzer phase must be finite, got nan"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["correlations", "--pairs", "1,2,3"],
+      "--pairs takes 2 values (all parties) or 6 (per party)"),
+     (["sample", "--shots", "10", "--pairs", "1,x"],
+      "--pairs must be comma-separated numbers, got '1,x'"),
+     (["correlations", "--pairs", ""], "--pairs must be comma-separated numbers, got ''"),
+     (["correlations", "--angles", "1,2"],
+      "--angles takes 1 value (all parties) or 3 (per party)"),
+     (["correlations", "--angles", "1,,2"],
+      "--angles must be comma-separated numbers, got '1,,2'")],
+    ids=["pairs-length", "pairs-number", "pairs-empty", "angles-length", "angles-number"],
+)
+def test_a_bad_angle_list_exits_two_with_its_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": message}
 
 
 def test_state_file_nested_too_deeply_exits_two(capsys, tmp_path):

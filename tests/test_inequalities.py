@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -34,7 +34,8 @@ from tribell import (
     svetlichny_value,
     symmetric_pairs,
 )
-from tribell.inequalities import SETTING_CHOICES, SETTING_KEYS
+from tribell.inequalities import SETTING_CHOICES, SETTING_KEYS, pair_phases
+from tribell.polarimetry import TWO_PI, wrap_phase
 
 COMMENT_PAIRS = symmetric_pairs(math.pi / 2.0, 0.0)
 OPTIMAL_PAIRS = symmetric_pairs(math.radians(35.264), math.radians(144.736))
@@ -54,6 +55,26 @@ def test_settings_pair_degenerate_flag():
     assert not SettingsPair(math.pi / 2.0, 0.0).is_degenerate
     with pytest.raises(ValueError):
         SettingsPair(math.inf, 0.0)
+    assert SettingsPair(0.5, 1.0) == SettingsPair(0.5 + 2.0 * math.pi, 1.0 - 2.0 * math.pi)
+
+
+@given(phi=st.floats(allow_nan=False, allow_infinity=False),
+       phi_prime=st.floats(allow_nan=False, allow_infinity=False))
+@example(phi=-0.0, phi_prime=0.0)
+@example(phi=TWO_PI, phi_prime=-TWO_PI)
+@example(phi=1e300, phi_prime=-1e300)
+@example(phi=-1e-300, phi_prime=-5e-324)
+def test_settings_pair_holds_its_phases_wrapped(phi, phi_prime):
+    pair = SettingsPair(phi, phi_prime)
+    phases = (pair.phi, pair.phi_prime)
+    assert phases == (wrap_phase(phi), wrap_phase(phi_prime))
+    assert all(0.0 <= phase < TWO_PI for phase in phases)
+    # Wrapping again changes no bit, and pair_phases hands the stored phases on.
+    assert [wrap_phase(phase).hex() for phase in phases] == [phase.hex() for phase in phases]
+    stacked = pair_phases((pair, pair, pair))
+    assert stacked.tobytes() == np.array([phases] * 3).tobytes()
+    assert stacked.tobytes() == wrap_phase(np.array([[phi, phi_prime]] * 3)).tobytes()
+    assert pair.is_degenerate == (wrap_phase(phi) == wrap_phase(phi_prime))
 
 
 def test_w_tensor_at_tested_settings():

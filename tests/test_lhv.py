@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +127,12 @@ def test_mixture_rejects_bad_weights():
         mixture_tensor([(0.7, strategy)])
     with pytest.raises(ValueError):
         mixture_tensor([(-0.1, strategy), (1.1, strategy)])
+
+
+def test_mixture_names_a_nan_probability():
+    strategy = enumerate_local()[0]
+    with pytest.raises(ValueError, match="^mixture probabilities must be nonnegative, got nan$"):
+        mixture_tensor([(0.5, strategy), (math.nan, strategy), (0.5, strategy)])
 
 
 @given(seed=st.integers(0, 2**32 - 1))

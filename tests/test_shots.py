@@ -4,6 +4,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from tribell import (
     sample_counts,
     symmetric_pairs,
 )
-from tribell import polarimetry
+from tribell import polarimetry, shots
 from tribell.inequalities import SETTING_KEYS, pair_phases
 from tribell.polarimetry import OUTCOME_LABELS
 from tribell.shots import MAX_SHOTS_PER_SETTING, _setting_stream
@@ -360,6 +361,66 @@ def test_count_table_validation():
         CountTable(bad, 10)
     with pytest.raises(ValueError):
         sample_counts(make_w(), COMMENT_PAIRS, 0, seed=1)
+
+
+def _counts_with(first, second) -> list:
+    """Whole-number float counts of 3 shots per setting, the first row starting first, second."""
+    counts = np.zeros((8, 8))
+    counts[:, 0] = 3.0
+    counts[0, :2] = first, second
+    return counts.tolist()
+
+
+def test_count_table_refuses_a_fractional_count():
+    # Cast to int64, 2.5 and -0.5 would sum to 3 shots as 2 and 0.
+    with pytest.raises(ValueError, match=r"^outcome count must be an integer, got 2\.5$"):
+        CountTable(_counts_with(2.5, 0.5), 3)
+    with pytest.raises(ValueError, match=r"^outcome count must be an integer, got -0\.5$"):
+        CountTable(_counts_with(-0.5, 3.5), 3)
+    assert CountTable(_counts_with(2.0, 1.0), 3).counts[0, 0, 0, :2].tolist() == [2, 1]
+
+
+def test_count_table_refuses_a_nan_count_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^outcome count must be an integer, got nan$"):
+            CountTable(_counts_with(math.nan, 3.0), 3)
+
+
+def test_count_table_refuses_a_count_beyond_int64():
+    counts = [[3] + [0] * 7 for _ in range(8)]
+    counts[0][1] = 2**70
+    with pytest.raises(ValueError) as refused:
+        CountTable(counts, 3)
+    assert str(refused.value) == f"outcome count must lie in [0, 2**63 - 1], got {2**70}"
+
+
+@pytest.mark.parametrize(
+    "n, row",
+    [(3 * 2**61, [3 * 2**61] * 3 + [2 * 2**61]), (1, [2**63 - 1, 2**63 - 1, 3])],
+    ids=["large-n", "n=1"],
+)
+def test_count_table_sums_large_counts_exactly(n, row):
+    # In int64 the row sums to n + 2**64, which wraps to n.
+    assert sum(row) == n + 2**64
+    counts = np.zeros((8, 8), dtype=np.int64)
+    counts[:, 0] = n
+    counts[0, :len(row)] = row
+    with pytest.raises(ValueError, match="exactly n_shots counts"):
+        CountTable(counts, n)
+    counts[0, 1:] = 0
+    counts[0, 0] = n
+    assert CountTable(counts, n).n_shots_per_setting == n
+
+
+def test_count_table_takes_an_integer_array_as_it_is(monkeypatch):
+    def refuse(count):
+        raise AssertionError("an integer count was checked one by one")
+
+    monkeypatch.setattr(shots, "_whole_count", refuse)
+    counts = np.full((2, 2, 2, 8), 25, dtype=np.int64)
+    assert np.array_equal(CountTable(counts, 200).counts, counts)
+    sample_counts(make_w(), COMMENT_PAIRS, 1000, seed=1)
 
 
 def test_z_score_with_finite_error():
