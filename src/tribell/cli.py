@@ -481,7 +481,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(argv)
     if getattr(args, "visibility", None) is not None and not 0.0 <= args.visibility <= 1.0:
-        build_parser().error("--visibility must lie in [0, 1]")
+        _parsers()[1][args.command].error("--visibility must lie in [0, 1]")
     try:
         if args.output == "":
             raise ValueError("--output must be a file path, got ''")

@@ -1,13 +1,15 @@
 """Deterministic hidden-variable strategies and exact model bounds.
 
-Two model classes are enumerated exhaustively: fully local strategies
-(each party answers its own setting; 4^3 = 64 strategies) and hybrid
-strategies (one pair answers its joint settings with arbitrary correlation,
-the remaining party answers locally; 256 * 4 = 1024 per bipartition, 3072
-over the three bipartitions).  Maxima of linear functionals over convex
-mixtures of strategies are attained at these deterministic vertices, so the
-enumeration gives exact model bounds.  Each model class is scored as one
-product of its +-1 strategy matrix with the functional's sign tensor.
+Two model classes are enumerated: fully local strategies (each party answers
+its own setting; 4^3 = 64 strategies) and hybrid strategies (one pair answers
+its joint settings with arbitrary correlation, the remaining party answers
+locally; 256 * 4 = 1024 per bipartition, 3072 over the three bipartitions).
+Maxima of linear functionals over convex mixtures of strategies are attained
+at these deterministic vertices.  lhv_max finds the best vertex in closed
+form: once every answer but one party's (local) or one pair's (hybrid) is
+fixed, the free answers can take each sign on their own, as in Svetlichny's
+bound (PRD 35, 3066, 1987), so only 16 local and 12 hybrid cases are scored.
+The enumeration and strategy_tensor are its independent reference.
 """
 
 from __future__ import annotations
@@ -147,43 +149,6 @@ def enumerate_hybrid(partition: Partition | None = None) -> list[HybridStrategy]
     ]
 
 
-def _strategy_at(model: ModelClass, row: int) -> LocalStrategy | HybridStrategy:
-    """The strategy behind one row of strategy_matrix(model)."""
-    if model is ModelClass.LOCAL:
-        return _local_strategy(row)
-    partition, index = divmod(row, _PER_PARTITION)
-    return _hybrid_strategy(list(Partition)[partition], index)
-
-
-@functools.cache
-def strategy_matrix(model: ModelClass) -> np.ndarray:
-    """Every strategy tensor of a model class as one read-only +-1 matrix.
-
-    Row r is strategy_tensor(s).values flattened (columns in SETTING_CHOICES
-    order) for the r-th strategy s of enumerate_local() or enumerate_hybrid():
-    64 x 8 or 3072 x 8.  Built on first use and kept for the life of the process.
-    """
-    model = ModelClass(model)
-    outcomes = np.array(_PARTY_MAPS, dtype=float)  # [map, setting]
-    if model is ModelClass.LOCAL:
-        matrix = np.einsum("ai,bj,ck->abcijk", outcomes, outcomes, outcomes).reshape(64, 8)
-    else:
-        # Bits 2t and 2t + 1 of a pair table are its two members' outcomes for
-        # the joint setting t; a strategy tensor only sees their product.
-        pair_outcomes = 1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)
-        pair_products = pair_outcomes[:, 0::2] * pair_outcomes[:, 1::2]
-        choices = np.array(SETTING_CHOICES)
-        blocks = []
-        for partition in Partition:
-            (first, second), solo = _PARTITION_ROLES[partition]
-            joint = 2 * choices[:, first] + choices[:, second]
-            block = pair_products[:, None, joint] * outcomes[None, :, choices[:, solo]]
-            blocks.append(block.reshape(_PER_PARTITION, 8))
-        matrix = np.concatenate(blocks)
-    matrix.flags.writeable = False
-    return matrix
-
-
 def strategy_tensor(strategy: LocalStrategy | HybridStrategy) -> CorrelationTensor:
     """Correlation tensor of a deterministic strategy; every entry is +-1."""
     return CorrelationTensor(
@@ -215,19 +180,54 @@ def lhv_max(functional: Functional, model: ModelClass) -> LhvMaxResult:
     Both enumerations are closed under flipping one party's outcomes, which
     negates every tensor entry, so the signed maximum equals the maximum of
     the absolute value and the witness always attains max_value exactly.
-    Ties keep the first strategy in enumeration order (np.argmax returns the
-    first maximal row), and only the winning strategy is built.  The frozen
-    result is computed once per (functional, model) pair and kept for the
-    life of the process.
+    The maximum is computed in closed form (_maximize), and the witness is
+    the first maximal strategy in enumeration order, the only one built.
+    The frozen result is computed once per (functional, model) pair and kept
+    for the life of the process.
     """
     return _lhv_max(Functional(functional), ModelClass(model))
 
 
 @functools.cache
 def _lhv_max(functional: Functional, model: ModelClass) -> LhvMaxResult:
-    scores = strategy_matrix(model) @ SIGN_TENSOR[functional].reshape(8)
-    best = int(np.argmax(scores))
-    return LhvMaxResult(functional, model, float(scores[best]), _strategy_at(model, best))
+    return LhvMaxResult(functional, model, *_maximize(SIGN_TENSOR[functional], model))
+
+
+def _maximize(signs: np.ndarray, model: ModelClass) -> tuple[float, LocalStrategy | HybridStrategy]:
+    """The largest sum of signs * strategy_tensor(s) over the model's strategies s,
+    and the first s in enumeration order that attains it.
+
+    Fix every answer but the free ones: party c's for each map pair (a, b)
+    (local), or the pair's for each partition and solo map o (hybrid).  The
+    sum is then sum_t w_t x_t over the free answers x_t = +-1 to their
+    settings t, largest at sum_t |w_t|, where x_t = -1 exactly if w_t < 0.
+    That choice has the lowest strategy index among the case's maximizers,
+    16a + 4b + c's map, or 1024 * partition + 4 * pair table + o, so the
+    lowest such index over the maximal cases is the first maximizer.
+    """
+    signs = np.asarray(signs, dtype=float).reshape(2, 2, 2)
+    cases = []  # (value, strategy index)
+    if model is ModelClass.LOCAL:
+        by_a = signs.reshape(2, 4).tolist()  # [a's setting][2j + k]
+        for a, (x0, x1) in enumerate(_PARTY_MAPS):
+            u = [x0 * s0 + x1 * s1 for s0, s1 in zip(*by_a)]  # a's answers summed out
+            for b, (y0, y1) in enumerate(_PARTY_MAPS):
+                w0, w1 = y0 * u[0] + y1 * u[2], y0 * u[1] + y1 * u[3]
+                cases.append((abs(w0) + abs(w1), 16 * a + 4 * b + (w0 < 0) + 2 * (w1 < 0)))
+    else:
+        for p, part in enumerate(Partition):
+            (first, second), solo = _PARTITION_ROLES[part]
+            rows = signs.transpose(first, second, solo).reshape(4, 2).tolist()  # [t][solo's setting]
+            for o, (x0, x1) in enumerate(_PARTY_MAPS):
+                w = [x0 * s0 + x1 * s1 for s0, s1 in rows]
+                table = sum(4**t for t, w_t in enumerate(w) if w_t < 0)
+                cases.append((sum(map(abs, w)), _PER_PARTITION * p + 4 * table + o))
+    best_value = max(value for value, _ in cases)
+    best = min(index for value, index in cases if value == best_value)
+    if model is ModelClass.LOCAL:
+        return best_value, _local_strategy(best)
+    partition, index = divmod(best, _PER_PARTITION)
+    return best_value, _hybrid_strategy(list(Partition)[partition], index)
 
 
 def mixture_tensor(weights) -> CorrelationTensor:

@@ -105,16 +105,28 @@ def _party_blocks(form: np.ndarray) -> list:
     """The form per party p as a 16x4 matrix with p's index last.
 
     The matrices keep the memory order that reshaping the transposed form
-    gives (party a's is column-major), since numpy's one-row (matrix-vector)
-    product rounds by memory order.
+    gives (party a's is column-major), since numpy's products round by
+    memory order.
     """
     return [form.transpose(axes).reshape(16, 4) for axes in _BLOCK_AXES]
+
+
+def _product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix, a lone row stacked twice first: numpy's one-row
+    (matrix-vector) product rounds differently from the matrix-matrix one,
+    so without the copy a row's result would depend on how many rows share
+    its batch.
+    """
+    if len(rows) == 1:
+        return (np.concatenate((rows, rows)) @ matrix)[:1]
+    return rows @ matrix
 
 
 def _fields(blocks: list, g: np.ndarray, party: int) -> np.ndarray:
     """S = sum_k field[:, k] g[:, party, k]: the (m, 4) field on one party."""
     first, second = _OTHERS[party]
-    return (g[:, first, :, None] * g[:, second, None, :]).reshape(-1, 16) @ blocks[party]
+    outer = (g[:, first, :, None] * g[:, second, None, :]).reshape(-1, 16)
+    return _product(outer, blocks[party])
 
 
 def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
@@ -127,9 +139,8 @@ def _ascend(form: np.ndarray, x0, tolerance: float, max_sweeps: int):
     The sign of S is taken once per row, at its start.  A row sweeps parties
     a, b, c until no phase moves by more than `tolerance` radians in a sweep,
     or for at most `max_sweeps` sweeps, and then drops out of later sweeps, so
-    its path does not depend on the other rows, except in the last-bit
-    rounding of numpy's products, whose kernel can change with the number of
-    rows (one row takes the matrix-vector path).  Block ascent alone
+    its path does not depend on the other rows: every product takes numpy's
+    matrix-matrix path, a lone row included (_product).  Block ascent alone
     converges only linearly where the parties' phases are coupled (W takes
     hundreds of sweeps), so after each sweep from the second on, a row that
     has not stopped also takes one saddle-free Newton step over all six
@@ -188,9 +199,7 @@ _FLAT_EIGENVALUE = 1e-9
 _BACKTRACK_SCALES = 2.0 ** -np.arange(11.0)
 _VALUE_SLACK = 1e-13
 #: The scales in the batches they are scored in: the full and the half step
-#: for every row, then the rest for the rows that reject both.  Two scales,
-#: not one, keep even a lone row's trials in numpy's matrix-matrix product;
-#: its one-row (matrix-vector) path rounds differently.
+#: for every row, then the rest for the rows that reject both.
 _BACKTRACK_BATCHES = (_BACKTRACK_SCALES[:2], _BACKTRACK_SCALES[2:])
 
 
@@ -229,7 +238,7 @@ def _newton_step(blocks: list, x: np.ndarray, g: np.ndarray, signs: np.ndarray) 
     first, the smaller scales only for the rows that reject both.
     """
     m = len(x)
-    pairs = np.concatenate([g[:, p] @ blocks[p].T for p in range(3)], axis=1)
+    pairs = np.concatenate([_product(g[:, p], blocks[p].T) for p in range(3)], axis=1)
     pairs *= signs
     hess = np.zeros((m, 144))
     hess[:, _HESS_INTO] = pairs[:, _HESS_FROM]

@@ -120,16 +120,20 @@ def reference_newton_step(state, functional, x, signs):
     ).reshape(4, 4, 4)
     blocks = [np.moveaxis(form, p, -1).reshape(16, 4) for p in range(3)]
 
+    def product(rows, matrix):
+        # Like the optimizer, never numpy's one-row product, which rounds differently.
+        return (np.concatenate((rows, rows)) @ matrix)[: len(rows)]
+
     def values(g):
         pairs = (g[:, 0, :, None] * g[:, 1, None, :]).reshape(-1, 16)
-        return ((pairs @ blocks[2]) * g[:, 2]).sum(axis=1)
+        return (product(pairs, blocks[2]) * g[:, 2]).sum(axis=1)
 
     m = len(x)
     g = analyzer_weights(x).reshape(-1, 3, 4)
     hess = np.zeros((m, 3, 4, 3, 4))
     for party in range(3):
         first, second = (q for q in range(3) if q != party)
-        pair = signs[:, :, None] * (g[:, party] @ blocks[party].T).reshape(-1, 4, 4)
+        pair = signs[:, :, None] * product(g[:, party], blocks[party].T).reshape(-1, 4, 4)
         hess[:, first, :, second, :] = pair
         hess[:, second, :, first, :] = pair.transpose(0, 2, 1)
     hess = hess.reshape(m, 6, 2, 6, 2)

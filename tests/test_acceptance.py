@@ -6,6 +6,7 @@ asserts, so the suite doubles as a human-readable scorecard.
 
 import itertools
 import math
+import re
 import time
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from tribell import (
     svetlichny_value,
     symmetric_pairs,
 )
-from tribell.cli import run_reproduction
+from tribell.cli import load_reproduce_manifest, run_reproduction
 
 TESTED_PAIRS = symmetric_pairs(math.pi / 2.0, 0.0)
 QUOTED_PAIRS = symmetric_pairs(math.radians(35.264), math.radians(144.736))
@@ -284,3 +285,39 @@ def test_readme_headline_figures_are_the_computed_ones():
             figure == computed,
             f"README prints {figure}, reproduce computes {values[row_id]!r}",
         )
+
+
+#: The docs' hidden-variable rows, by the start of their label, each with the
+#: (functional, model) pairs whose maximum it prints.
+LHV_ROWS = {
+    r"max \|S_M\| over local models": [("mermin", "local")],
+    r"max \|S_M\| over hybrid models": [("mermin", "hybrid")],
+    r"max \|S_V\| over local or hybrid models": [("svetlichny", "local"), ("svetlichny", "hybrid")],
+}
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_docs_hidden_variable_bounds_are_the_computed_ones(doc):
+    lines = (Path(__file__).resolve().parent.parent / doc).read_text(encoding="utf-8").splitlines()
+    expected = {
+        (row["params"]["functional"], row["params"]["model"]): row["expected"]
+        for row in load_reproduce_manifest()
+        if row["kind"] == "lhv_max"
+    }
+    sizes = {"local": len(enumerate_local()), "hybrid": len(enumerate_hybrid())}
+    for start, pairs in LHV_ROWS.items():
+        (line,) = [line for line in lines if line.startswith(f"| {start}")]
+        label, figure = line.strip("| ").split(" | ")
+        value = float(figure.split()[0])
+        computed = {pair: lhv_max(*pair).max_value for pair in pairs}
+        _check(
+            f"{doc} figure ({label})",
+            all(value == computed[pair] == expected[pair] for pair in pairs),
+            f"{doc} prints {figure}, lhv_max computes {computed}, "
+            f"the manifest expects { {pair: expected[pair] for pair in pairs} }",
+        )
+        # A row of one model class prints its strategy count.
+        printed = [int(n) for n in re.findall(r"\((\d+) strategies\)", label)]
+        counted = [sizes[model] for _, model in pairs] if len(pairs) == 1 else []
+        _check(f"{doc} strategy count ({label})", printed == counted,
+               f"{doc} prints {printed}, the enumeration has {counted}")

@@ -620,9 +620,17 @@ def test_unknown_state_is_reported_machine_readably(capsys):
 
 
 def test_bad_visibility_rejected(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["correlations", "--state", "w", "--visibility", "1.5", "--angles", "0"])
-    assert excinfo.value.code == 2
+    for argv in (
+        ["optimize", "--functional", "mermin"],
+        ["sample", "--pairs", "0,90", "--shots", "10"],
+        ["correlations", "--angles", "0"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--state", "w", "--visibility", "1.5"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: tribell {argv[0]} ")
+        assert err.splitlines()[-1] == f"tribell {argv[0]}: error: --visibility must lie in [0, 1]"
 
 
 def test_missing_subcommand_exits_two(capsys):

@@ -23,7 +23,7 @@ from tribell import (
     strategy_tensor,
     svetlichny_value,
 )
-from tribell.lhv import LocalStrategy, strategy_matrix
+from tribell.lhv import LocalStrategy, _maximize
 
 
 def test_enumeration_sizes_and_uniqueness():
@@ -48,13 +48,18 @@ def test_strategy_tensor_constant_strategies():
     "model,enumerate_model",
     [(ModelClass.LOCAL, enumerate_local), (ModelClass.HYBRID, enumerate_hybrid)],
 )
-def test_strategy_matrix_rows_are_strategy_tensors(model, enumerate_model):
-    matrix = strategy_matrix(model)
+def test_closed_form_maximum_is_the_first_maximizer_of_every_sign_tensor(model, enumerate_model):
+    # Reference: every strategy tensor as one +-1 matrix in enumeration order,
+    # scored against each of the 3**8 sign tensors in {-1, 0, 1}**8 at once.
     strategies = enumerate_model()
-    assert matrix.shape == (len(strategies), 8)
-    assert not matrix.flags.writeable
-    for row, strategy in zip(matrix, strategies):
-        assert np.array_equal(row, strategy_tensor(strategy).values.reshape(8))
+    matrix = np.array([strategy_tensor(s).values.reshape(8) for s in strategies])
+    signs = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=8)))
+    scores = signs @ matrix.T
+    for row, row_scores in zip(signs, scores):
+        first = int(row_scores.argmax())
+        value, witness = _maximize(row, model)
+        assert value == row_scores[first]
+        assert witness == strategies[first]
 
 
 def test_all_strategy_tensors_are_sign_valued():

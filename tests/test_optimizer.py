@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -122,6 +122,10 @@ def test_party_update_attains_closed_form_block_maximum(seed):
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_starts=st.integers(2, 8))
+# Draws whose batches once ended on a lone row through numpy's matrix-vector
+# product, which rounds differently from the batched matrix-matrix one.
+@example(seed=732015, n_starts=4)
+@example(seed=16018, n_starts=2)
 def test_batched_ascent_matches_each_start_alone(seed, n_starts):
     rng = np.random.default_rng(seed)
     rho = random_density(rng)
