@@ -50,6 +50,7 @@ from tribell import (
 )
 from tribell.cli import load_reproduce_manifest, run_reproduction
 
+ROOT = Path(__file__).resolve().parent.parent
 TESTED_PAIRS = symmetric_pairs(math.pi / 2.0, 0.0)
 QUOTED_PAIRS = symmetric_pairs(math.radians(35.264), math.radians(144.736))
 
@@ -270,14 +271,17 @@ README_ROWS = {
 }
 
 
+def _cell(doc: str, label: str) -> str:
+    """The value cell of the row of doc's table whose label is label."""
+    lines = (ROOT / doc).read_text(encoding="utf-8").splitlines()
+    (line,) = [line for line in lines if line.startswith(f"| {label} | ")]
+    return line[len(f"| {label} | "):].removesuffix(" |")
+
+
 def test_readme_headline_figures_are_the_computed_ones():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    lines = readme.read_text(encoding="utf-8").splitlines()
     values = {row["id"]: row["value"] for row in run_reproduction()}
     for label, row_id in README_ROWS.items():
-        prefix = f"| {label} | "
-        (line,) = [line for line in lines if line.startswith(prefix)]
-        figure = line[len(prefix):].split()[0]
+        figure = _cell("README.md", label).split()[0]
         decimals = len(figure.partition(".")[2])
         computed = f"{values[row_id]:.{decimals}f}"
         _check(
@@ -285,6 +289,25 @@ def test_readme_headline_figures_are_the_computed_ones():
             figure == computed,
             f"README prints {figure}, reproduce computes {values[row_id]!r}",
         )
+
+
+def test_docs_w_ghz_and_paper_figures_are_the_computed_ones():
+    values = {row["id"]: row["value"] for row in run_reproduction()}
+    tested = [f"{values[f'{name}-w-tested-settings']:.0f}" for name in ("mermin", "svetlichny")]
+    ghz = [4 * math.sqrt(2), optimize(make_ghz("circular_rl"), Functional.SVETLICHNY).best_value]
+    for doc in ("README.md", "PAPER.md"):
+        figures = [_cell(doc, "S_M and S_V of W at φ = 90°, φ' = 0°").split()[0],
+                   _cell(doc, "max S_V of GHZ")]
+        computed = [tested, [f"4√2 ≈ {value:.3f}" for value in ghz]]
+        _check(f"{doc} figures (W at 90°, 0°; GHZ maximum)",
+               [[figure] * 2 for figure in figures] == computed,
+               f"{doc} prints {figures}, the package computes {computed}")
+    # PAPER.md truncates the W maximum to 3 places and rounds 4/4.354 to 4, as README says.
+    figures = [_cell("PAPER.md", label) for label in README_ROWS]
+    maximum = f"{values['svetlichny-w-optimal-settings']:.5f}"
+    computed = [maximum[:-2], f"≈ {round(4 / float(maximum[:-2]), 4)}"]
+    _check("PAPER.md figures (W maximum, critical visibility)", figures == computed,
+           f"PAPER.md prints {figures}, the package computes {maximum}: {computed}")
 
 
 #: The docs' hidden-variable rows, by the start of their label, each with the
@@ -298,7 +321,7 @@ LHV_ROWS = {
 
 @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
 def test_docs_hidden_variable_bounds_are_the_computed_ones(doc):
-    lines = (Path(__file__).resolve().parent.parent / doc).read_text(encoding="utf-8").splitlines()
+    lines = (ROOT / doc).read_text(encoding="utf-8").splitlines()
     expected = {
         (row["params"]["functional"], row["params"]["model"]): row["expected"]
         for row in load_reproduce_manifest()

@@ -99,20 +99,11 @@ def test_optimize_trace_csv(capsys, tmp_path):
     assert len(rows) >= 2
 
 
-def test_lhv_scan_values(capsys):
-    code, out, _ = run_cli(
-        capsys, "lhv-scan", "--functional", "mermin", "--model", "local",
-        "--format", "json",
-    )
+def test_optimize_w_mermin_random_restarts_reach_the_maximum(capsys):
+    code, out, _ = run_cli(capsys, "optimize", "--state", "w", "--functional", "mermin",
+                           "--restarts", "200", "--format", "json")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["max_value"] == 2.0
-    code, out, _ = run_cli(
-        capsys, "lhv-scan", "--functional", "svetlichny", "--model", "hybrid",
-        "--format", "json",
-    )
-    assert json.loads(out)["max_value"] == 4.0
-    assert code == 0
+    assert abs(json.loads(out)["best_value"] - 3.045956) <= 1e-6
 
 
 def test_sample_json_reports(capsys):
@@ -189,6 +180,21 @@ json_payloads = st.recursive(
 def test_report_writer_prints_the_stdlib_indent_2_layout(payload):
     """Scalars at depth 0 and beside a container take the writer's scalar branch."""
     assert cli.render_json(payload) == _stdlib_indent_2(payload)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reproduce"], ["optimize", "--state", "w", "--functional", "mermin"],
+     ["lhv-scan", "--functional", "mermin", "--model", "hybrid"],
+     ["sample", "--state", "w", "--pairs", "35.264,144.736", "--shots", "1000", "--seed", "1"],
+     ["correlations", "--angles", "90,90,0"], ["correlations", "--pairs", "90,0"],
+     ["correlations", "--state", "nosuch", "--angles", "0"]],
+    ids=" ".join,
+)
+def test_every_report_is_the_stdlib_indent_2_layout(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == (2 if "nosuch" in argv else 0)
+    assert out + err == _stdlib_indent_2(json.loads(out + err))
 
 
 @pytest.mark.parametrize(
@@ -539,6 +545,32 @@ def test_w_correlation_at_hv_settings_prints_minus_one(capsys):
     )
     assert code == 0
     assert '"correlation": -1.0,' in out
+    probabilities = list(json.loads(out)["distribution"].values())  # zeros round to -2.8e-17
+    assert min(probabilities) >= 0.0 and abs(sum(probabilities) - 1.0) <= 1e-12
+    code, out, _ = run_cli(capsys, "correlations", "--state", "w", "--pairs", "0,90",
+                           "--format", "json")
+    assert code == 0
+    assert all(-1.0 <= entry <= 1.0 for entry in json.loads(out)["tensor"].values())
+
+
+def test_outcomes_the_born_rule_forbids_are_never_drawn(capsys):
+    # W at the H/V settings forbids five outcomes; the contraction rounds "---" to -2.8e-17.
+    code, out, _ = run_cli(capsys, "sample", "--state", "w", "--pairs", "0,90", "--shots",
+                           "100000", "--seed", "1", "--format", "csv")
+    assert code == 0
+    counts = {row["outcome"]: row["count"] for row in csv.DictReader(io.StringIO(out))
+              if (row["i"], row["j"], row["k"]) == ("0", "0", "0")}
+    assert len(counts) == 8
+    assert [int(counts[outcome]) for outcome in ("+++", "+--", "-+-", "--+", "---")] == [0] * 5
+
+
+def test_seeded_sampling_reproduces_its_values(capsys):
+    # These values pin the per-setting Philox streams across numpy versions.
+    code, out, _ = run_cli(capsys, "sample", "--state", "w", "--pairs", "35.264,144.736",
+                           "--shots", "1000000", "--seed", "7", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert (reports["mermin"]["value"], reports["svetlichny"]["value"]) == (2.177056, 4.35636)
 
 
 def test_correlations_degenerate_pairs_flagged(capsys):
@@ -579,16 +611,38 @@ def test_correlations_visibility(capsys):
     )
 
 
-def test_state_file_round_trip(capsys, tmp_path):
+def test_density_matrix_state_file_gives_the_tensor_of_its_pure_state(capsys, tmp_path):
+    # W's projector as a file takes the DensityMatrix branch of the expansion;
+    # --state w takes the PureState branch.
+    amplitudes = [0.0, 1 / math.sqrt(3), 1 / math.sqrt(3), 0.0, 1 / math.sqrt(3), 0.0, 0.0, 0.0]
+    state_path = tmp_path / "w_projector.json"
+    state_path.write_text(json.dumps([[[x * y, 0.0] for y in amplitudes] for x in amplitudes]))
+    density, pure = (
+        json.loads(run_cli(capsys, "correlations", "--state", state, "--pairs", "35.264,144.736",
+                           "--format", "json")[1])["tensor"]
+        for state in (str(state_path), "w")
+    )
+    assert density.keys() == pure.keys()
+    assert max(abs(density[key] - pure[key]) for key in pure) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "request_argv",
+    [["sample", "--pairs", "35.264,144.736", "--shots", "1000", "--seed", "3"],
+     ["correlations", "--pairs", "35.264,144.736"]],
+)
+def test_named_state_its_file_and_visibility_one_print_the_same_report(
+    capsys, tmp_path, request_argv
+):
+    # Each branch of the CLI's state step gives the same tensor, so the same bytes.
     state_path = tmp_path / "w.json"
     state_path.write_text(json.dumps(make_w().to_jsonable()))
-    code, out, _ = run_cli(
-        capsys,
-        "correlations", "--state", str(state_path), "--angles", "0,0,0",
-        "--format", "json",
+    named, from_file, at_visibility_one = (
+        run_cli(capsys, *request_argv, "--state", *state, "--format", "json")
+        for state in (["w"], [str(state_path)], ["w", "--visibility", "1"])
     )
-    assert code == 0
-    assert json.loads(out)["correlation"] == pytest.approx(-1.0, abs=1e-9)
+    assert named[0] == 0
+    assert from_file == named == at_visibility_one
 
 
 @pytest.mark.parametrize("visibility", [[], ["--visibility", "0.9"]], ids=["v=1", "v=0.9"])
@@ -631,6 +685,24 @@ def test_bad_visibility_rejected(capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"usage: tribell {argv[0]} ")
         assert err.splitlines()[-1] == f"tribell {argv[0]}: error: --visibility must lie in [0, 1]"
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [(["reproduce", "extra"], "tribell: error: unrecognized arguments: extra"),
+     (["sample", "--s", "w"],
+      "tribell sample: error: ambiguous option: --s could match --state, --shots, --seed"),
+     (["correlations", "--visibility", "1.5", "--angles", "0"],
+      "tribell correlations: error: --visibility must lie in [0, 1]")],
+    ids=["reproduce", "sample", "correlations"],
+)
+def test_a_usage_error_is_reported_by_the_parser_that_owns_it(capsys, argv, last):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {last.partition(': error')[0]} [-h]")
+    assert err.splitlines()[-1] == last
 
 
 def test_missing_subcommand_exits_two(capsys):

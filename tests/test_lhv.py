@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from tribell import (
     Functional,
     ModelClass,
     Partition,
+    cli,
     enumerate_hybrid,
     enumerate_local,
     functional_value,
@@ -77,7 +79,7 @@ def test_all_strategy_tensors_are_sign_valued():
         (Functional.SVETLICHNY, ModelClass.HYBRID, 4.0),
     ],
 )
-def test_lhv_max_exact_bounds_with_witnesses(functional, model, expected):
+def test_lhv_max_exact_bounds_with_witnesses(capsys, functional, model, expected):
     result = lhv_max(functional, model)
     assert result.max_value == expected
     # Reference: score every strategy in enumeration order, keep the first maximizer.
@@ -89,6 +91,10 @@ def test_lhv_max_exact_bounds_with_witnesses(functional, model, expected):
             best_value, best_strategy = value, strategy
     assert result.max_value == best_value
     assert result.witness == best_strategy
+    argv = ["--functional", functional.value, "--model", model.value, "--format", "json"]
+    assert cli.main(["lhv-scan", *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["max_value"], report["witness"]) == (best_value, best_strategy.to_jsonable())
     recomputed = strategy_tensor(result.witness)
     if functional is Functional.MERMIN:
         assert mermin_value(recomputed) == result.max_value

@@ -395,6 +395,18 @@ def test_w_svetlichny_reaches_quoted_maximum(w_svetlichny_result):
     assert result.restarts_used == 8
 
 
+def test_w_values_are_their_closed_forms_within_two_ulp(w_svetlichny_result):
+    # W's highest stationary values found, derived numerically: no certificate
+    # yet shows them to be the global maxima.
+    phi = math.atan(1 / math.sqrt(2))
+    tensor = correlation_tensor(make_w(), symmetric_pairs(phi, math.pi - phi))
+    for value, exact in [(w_svetlichny_result.best_value, (8 / 3) ** 1.5),
+                         (functional_value(tensor, Functional.SVETLICHNY), (8 / 3) ** 1.5),
+                         (optimize(make_w(), Functional.MERMIN).best_value,
+                          math.sqrt(738 * math.sqrt(41) - 3974) / 9)]:
+        assert abs(value - exact) <= 2 * math.ulp(exact)
+
+
 def test_w_svetlichny_settings_match_quoted_angles(w_svetlichny_result):
     distance = min_symmetry_distance(
         w_svetlichny_result.best_settings, QUOTED_OPTIMUM

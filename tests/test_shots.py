@@ -448,6 +448,20 @@ def test_sampled_half_visibility_does_not_violate():
     assert not report.violated
 
 
+def test_error_bars_cover_the_exact_value_at_their_stated_rate():
+    # Calibrated at 1000 shots per setting; README gives the under-coverage at 10.
+    state = StateTensor(make_w(), 0.9)
+    exact = correlation_tensor(state, OPTIMAL_PAIRS)
+    covered = dict.fromkeys(Functional, 0)
+    for seed in range(2000):
+        estimated = estimate_tensor(sample_counts(state, OPTIMAL_PAIRS, 1000, seed))
+        for functional in Functional:
+            report = estimate_inequality(estimated, functional)
+            error = abs(report.value - functional_value(exact, functional))
+            covered[functional] += error <= 1.96 * report.std_error
+    assert all(0.93 <= count / 2000 <= 0.97 for count in covered.values()), covered
+
+
 def test_functional_is_linear_in_visibility():
     rho = pure_to_density(make_w())
     exact = correlation_tensor(rho, OPTIMAL_PAIRS)

@@ -1,8 +1,10 @@
 """Checks on the tooling around the package: the pytest settings in
-pyproject.toml report failures rather than abort on them, and the benchmark's
-span tracer still finds every entry point it wraps."""
+pyproject.toml report failures rather than abort on them, the benchmark's
+span tracer still finds every entry point it wraps, and CI runs no check of
+its own."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 import textwrap
@@ -66,3 +68,22 @@ def test_bench_tracer_wraps_every_traced_name_and_restores_it(monkeypatch):
         assert tribell.cli.main(["lhv-scan", "--functional", "mermin", "--model", "local"]) == 0
     assert {name: _traced_object(name) for name in tracer.TRACED} == originals
     assert {"cli.main", "lhv.lhv_max"} <= {span.name for span in spans.spans}
+
+
+#: What a CI command may do: install, call the console script, run pytest, or
+#: run bench/run.py and read its oracle verdict. Every other check is a test.
+CI_COMMAND = re.compile(
+    r"python -m pip install [\w .\[\]-]+|tribell [\w -]+|PYTHONPATH=\S+ python -m pytest [\w -]+"
+    r"|for \w+ in [\w -]+; do|done|python3 bench/run\.py [\w\"$ -]+ \| tail -n 1"
+    r" \| python3 -c '[^']*line\[\"correct\"\] is True[^']*'"
+)
+
+
+def test_ci_runs_only_what_needs_a_runner():
+    text = re.sub(r"\\\n\s*", "", (ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    commands = []
+    for match in re.finditer(r"^( *)(?:- )?run: (.*)\n((?:\1 +.*\n|\n)*)", text, re.MULTILINE):
+        block = match[3] if match[2] == "|" else match[2]
+        commands += [line.strip() for line in block.splitlines() if line.strip()]
+    assert any("pytest" in command for command in commands)
+    assert [command for command in commands if not CI_COMMAND.fullmatch(command)] == []
