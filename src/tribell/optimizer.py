@@ -199,24 +199,10 @@ _FLAT_EIGENVALUE = 1e-9
 _BACKTRACK_SCALES = 2.0 ** -np.arange(11.0)
 _VALUE_SLACK = 1e-13
 #: The scales in the batches they are scored in: the full and the half step
-#: for every row, then the rest for the rows that reject both.
+#: for every row, then the rest for the rows that reject both.  Scoring all
+#: eleven in one batch keeps every bit but is slower: `optimize` of W's S_V
+#: with 10 000 restarts takes about 0.59 s that way, against 0.49 s (2-vCPU Xeon).
 _BACKTRACK_BATCHES = (_BACKTRACK_SCALES[:2], _BACKTRACK_SCALES[2:])
-
-
-def _hessian_layout():
-    """Flat indices of the (3, 4, 3, 4) weight Hessian's off-diagonal blocks,
-    and their sources in _newton_step's three concatenated 4x4 party blocks:
-    parties (p, q) take the third party's block, transposed where p > q.
-    """
-    party, weight, other, other_weight = np.indices((3, 4, 3, 4)).reshape(4, -1)
-    into = np.flatnonzero(party != other)
-    source = (3 - party - other) * 16 + np.where(
-        party < other, 4 * weight + other_weight, 4 * other_weight + weight
-    )
-    return into, source[into]
-
-
-_HESS_INTO, _HESS_FROM = _hessian_layout()
 #: d(cos phi, sin phi)/dphi = (-sin phi, cos phi): the weights reversed, times this.
 _TANGENT = np.array([-1.0, 1.0])
 
@@ -226,22 +212,23 @@ def _newton_step(blocks: list, x: np.ndarray, g: np.ndarray, signs: np.ndarray) 
 
     S is trilinear in the three parties' 4-vectors of weights, so its Hessian
     over all twelve weights has a zero block per party and, between parties p
-    and q, the form with the third party's weights contracted; the gradient
-    is half that Hessian times the weights.  The weights are g = (cos phi,
-    sin phi) (analyzer_weights), so dg/dphi = (-sin phi, cos phi) and the
-    second derivative is -g: the phase gradient is field . dg and the
+    and q, the form with the third party's weights contracted, written once
+    per third party as the (p, q) block and its transpose as the (q, p) one;
+    the gradient is half that Hessian times the weights.  The weights are
+    g = (cos phi, sin phi) (analyzer_weights), so dg/dphi = (-sin phi, cos phi)
+    and the second derivative is -g: the phase gradient is field . dg and the
     phase Hessian dg^T H dg with -field . g added on its diagonal.  The step
     V |L|^-1 V^T grad over the eigenpairs (L, V) that are not flat ascends f
     also near a saddle (Dauphin et al., 2014).  A row takes the first of
     _BACKTRACK_SCALES whose trial is no lower than f (within _VALUE_SLACK),
-    or keeps its phases if none is; the full and half steps are scored
-    first, the smaller scales only for the rows that reject both.
+    scored in _BACKTRACK_BATCHES, or keeps its phases if none is.
     """
     m = len(x)
-    pairs = np.concatenate([_product(g[:, p], blocks[p].T) for p in range(3)], axis=1)
-    pairs *= signs
-    hess = np.zeros((m, 144))
-    hess[:, _HESS_INTO] = pairs[:, _HESS_FROM]
+    hess = np.zeros((m, 3, 4, 3, 4))
+    for third, (p, q) in enumerate(_OTHERS):
+        block = (_product(g[:, third], blocks[third].T) * signs).reshape(m, 4, 4)
+        hess[:, p, :, q, :] = block
+        hess[:, q, :, p, :] = block.transpose(0, 2, 1)
     hess = hess.reshape(m, 6, 2, 6, 2)
     w = g.reshape(m, 6, 2)
     field = np.einsum("mikjl,mjl->mik", hess, w) / 2.0

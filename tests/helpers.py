@@ -107,12 +107,14 @@ def min_symmetry_distance(settings, reference) -> float:
 def reference_newton_step(state, functional, x, signs):
     """The saddle-free Newton step of f = sign * S, every backtracking scale tried.
 
-    The optimizer's step written without its shortcuts: the form is built by
-    einsum in the weights g = (cos phi, sin phi) of analyzer_weights, each
-    party's block by np.moveaxis, and the Hessian block by block.  Every row
-    scores all of _BACKTRACK_SCALES and keeps the first trial no lower than f
-    (within _VALUE_SLACK).  Returns the new (m, 6) phases and, per row, the
-    index of the scale kept, len(_BACKTRACK_SCALES) where none was.
+    Both this and the optimizer fill the Hessian block by block.  Built here
+    apart from the library: the form by einsum in the weights
+    g = (cos phi, sin phi) of analyzer_weights, each party's block by
+    np.moveaxis, the tangents dw by np.stack and the Hessian's diagonal term
+    through a fancy index.  Every row scores all of _BACKTRACK_SCALES in one
+    batch and keeps the first trial no lower than f (within _VALUE_SLACK).
+    Returns the new (m, 6) phases and, per row, the index of the scale kept,
+    len(_BACKTRACK_SCALES) where none was.
     """
     coeffs = pauli_coefficients(state)[1:, 1:, 1:]
     form = np.einsum(

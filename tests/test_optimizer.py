@@ -437,8 +437,21 @@ def test_w_trace_starts_at_grid_and_improves(w_svetlichny_result):
 
 
 def test_ghz_circular_svetlichny_reaches_tsirelson_analogue():
+    exact = 4.0 * math.sqrt(2.0)
     result = optimize(make_ghz("circular_rl"), Functional.SVETLICHNY)
-    assert result.best_value == pytest.approx(4.0 * math.sqrt(2.0), abs=1e-4)
+    assert abs(result.best_value - exact) <= 2 * math.ulp(exact)
+
+
+@pytest.mark.parametrize(
+    "basis, functional, exact",
+    [("circular_rl", Functional.MERMIN, 4.0),
+     ("linear_hv", Functional.MERMIN, 2.0),
+     ("linear_hv", Functional.SVETLICHNY, 4.0)],
+)
+def test_other_ghz_maxima_are_exact_within_two_ulp(basis, functional, exact):
+    # ghz-rl's Mermin maximum is exact; ghz-hv's two are each 1 ulp below.
+    value = optimize(make_ghz(basis), functional).best_value
+    assert abs(value - exact) <= 2 * math.ulp(exact)
 
 
 def test_product_state_mermin_maximum_is_local_bound():

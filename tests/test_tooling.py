@@ -1,14 +1,18 @@
 """Checks on the tooling around the package: the pytest settings in
 pyproject.toml report failures rather than abort on them, the benchmark's
-span tracer still finds every entry point it wraps, and CI runs no check of
-its own."""
+span tracer still finds every entry point it wraps, commands that never
+sample leave numpy.random unimported, and CI runs no check of its own."""
 
 import importlib.util
+import json
+import os
 import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import tribell.cli
 
@@ -68,6 +72,45 @@ def test_bench_tracer_wraps_every_traced_name_and_restores_it(monkeypatch):
         assert tribell.cli.main(["lhv-scan", "--functional", "mermin", "--model", "local"]) == 0
     assert {name: _traced_object(name) for name in tracer.TRACED} == originals
     assert {"cli.main", "lhv.lhv_max"} <= {span.name for span in spans.spans}
+
+
+#: Run in a fresh interpreter: whether numpy.random is loaded after importing
+#: numpy, importing tribell.cli, building the parser and serving each request.
+RANDOM_LOADED = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    import numpy
+    loaded = ["numpy.random" in sys.modules]
+    import tribell.cli
+    loaded.append("numpy.random" in sys.modules)
+    tribell.cli.build_parser()
+    loaded.append("numpy.random" in sys.modules)
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert tribell.cli.main(argv) == 0, argv
+        loaded.append("numpy.random" in sys.modules)
+    print(json.dumps(loaded))
+    """
+)
+
+
+def test_commands_that_never_sample_leave_numpy_random_unimported():
+    # Importing numpy.random takes about 10 ms, and only sampling and random
+    # restarts draw from it.  The last request samples, so it must load it.
+    requests = [["reproduce"], ["correlations", "--pairs", "0,90"],
+                ["correlations", "--angles", "0"],
+                ["lhv-scan", "--functional", "mermin", "--model", "local"],
+                ["optimize", "--functional", "mermin"],
+                ["sample", "--pairs", "0,90", "--shots", "10"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", RANDOM_LOADED, json.dumps(requests)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    if loaded[0]:
+        pytest.skip("importing numpy alone loads numpy.random, as numpy 1.x does")
+    assert loaded == [False] * 8 + [True]
 
 
 #: What a CI command may do: install, call the console script, run pytest, or
