@@ -9,7 +9,6 @@ import io
 import json
 import math
 import sys
-from importlib import resources
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
@@ -184,63 +183,42 @@ def _parse_pairs(text: str, radians_flag: bool) -> tuple[SettingsPair, ...]:
     return tuple(SettingsPair(phases[p], phases[p + 1]) for p in (0, 2, 4))
 
 
-@functools.cache
-def load_reproduce_manifest() -> tuple:
-    """The packaged manifest's rows, parsed once per process into read-only mappings."""
-    text = resources.files("tribell").joinpath("data/reproduce_manifest.json").read_text()
-    return tuple(json.loads(text, object_hook=MappingProxyType)["rows"])
-
-
-def _row_tensor(params: dict, tensors: dict):
-    """The correlation tensor of the named state at the symmetric settings a row names.
-
-    tensors holds those this reproduction has computed, keyed by (state,
-    phi_deg, phi_prime_deg), so the rows that name one pair share one tensor.
-    """
-    key = (params["state"], params["phi_deg"], params["phi_prime_deg"])
-    tensor = tensors.get(key)
-    if tensor is None:
-        pairs = symmetric_pairs(math.radians(key[1]), math.radians(key[2]))
-        tensor = tensors[key] = correlation_tensor(NAMED_STATES[key[0]], pairs)
-    return tensor
-
-
-def _evaluate_manifest_row(row: dict, tensors: dict) -> float:
-    kind = row["kind"]
-    params = row["params"]
-    functional = Functional(params["functional"])
-    if kind == "functional_value":
-        return functional_value(_row_tensor(params, tensors), functional)
-    if kind == "lhv_max":
-        return lhv_max(functional, ModelClass(params["model"])).max_value
-    if kind == "critical_visibility":
-        return shots.critical_visibility_from_tensor(_row_tensor(params, tensors), functional)
-    raise ValueError(f"unknown manifest row kind {kind!r}")
-
-
 def run_reproduction() -> list[dict]:
-    """Evaluate every manifest row; each gets value, expected, and a pass flag.
+    """Compute every reproduce check; each row gets value, expected, and a pass flag.
 
-    Each state the manifest names is read from NAMED_STATES, so a call builds
-    no state and expands no coefficients, and it contracts each (state,
-    settings) pair the manifest names once.
+    W's tensor is read from NAMED_STATES and contracted once at each of the
+    two settings pairs the checks name, so a call builds no state and
+    computes two correlation tensors.
     """
-    tensors: dict = {}
-    results = []
-    for row in load_reproduce_manifest():
-        value = _evaluate_manifest_row(row, tensors)
-        passed = abs(value - row["expected"]) <= row["tolerance"]
-        results.append(
-            {
-                "id": row["id"],
-                "label": row["label"],
-                "value": float(value),
-                "expected": float(row["expected"]),
-                "tolerance": float(row["tolerance"]),
-                "passed": bool(passed),
-            }
-        )
-    return results
+    w = NAMED_STATES["w"]
+    tested = correlation_tensor(w, symmetric_pairs(math.radians(90.0), math.radians(0.0)))
+    quoted = correlation_tensor(w, symmetric_pairs(math.radians(35.264), math.radians(144.736)))
+    mermin, svetlichny = Functional.MERMIN, Functional.SVETLICHNY
+    local, hybrid = ModelClass.LOCAL, ModelClass.HYBRID
+    checks = (
+        ("mermin-w-tested-settings", "S_M(W) at (90.000, 0.000) deg",
+         functional_value(tested, mermin), 3.0, 1e-9),
+        ("svetlichny-w-tested-settings", "S_V(W) at (90.000, 0.000) deg",
+         functional_value(tested, svetlichny), 3.0, 1e-9),
+        ("svetlichny-w-optimal-settings", "S_V(W) at (35.264, 144.736) deg",
+         functional_value(quoted, svetlichny), 4.354, 1e-3),
+        ("mermin-local-bound", "max |S_M|, local models",
+         lhv_max(mermin, local).max_value, 2.0, 0.0),
+        ("mermin-hybrid-bound", "max |S_M|, hybrid models",
+         lhv_max(mermin, hybrid).max_value, 4.0, 0.0),
+        ("svetlichny-local-bound", "max |S_V|, local models",
+         lhv_max(svetlichny, local).max_value, 4.0, 0.0),
+        ("svetlichny-hybrid-bound", "max |S_V|, hybrid models",
+         lhv_max(svetlichny, hybrid).max_value, 4.0, 0.0),
+        # The bound over the paper's rounded maximum, 4.354.
+        ("critical-visibility-w", "critical visibility, S_V(W)",
+         shots.critical_visibility_from_tensor(quoted, svetlichny), 4 / 4.354, 1e-3),
+    )
+    return [
+        {"id": check_id, "label": label, "value": value, "expected": expected,
+         "tolerance": tolerance, "passed": abs(value - expected) <= tolerance}
+        for check_id, label, value, expected, tolerance in checks
+    ]
 
 
 def _reproduce_table(rows) -> list[str]:

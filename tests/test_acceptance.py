@@ -48,7 +48,7 @@ from tribell import (
     svetlichny_value,
     symmetric_pairs,
 )
-from tribell.cli import load_reproduce_manifest, run_reproduction
+from tribell.cli import run_reproduction
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTED_PAIRS = symmetric_pairs(math.pi / 2.0, 0.0)
@@ -264,7 +264,7 @@ def test_criterion_8_property_suites():
     )
 
 
-#: README's headline rows that print a reproduce value, and the manifest row of each.
+#: README's headline rows that print a reproduce value, and the id of the check of each.
 README_ROWS = {
     "max S_V of W, at φ = 35.264°, φ' = 144.736°": "svetlichny-w-optimal-settings",
     "critical visibility for the W Svetlichny violation": "critical-visibility-w",
@@ -322,11 +322,9 @@ LHV_ROWS = {
 @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
 def test_docs_hidden_variable_bounds_are_the_computed_ones(doc):
     lines = (ROOT / doc).read_text(encoding="utf-8").splitlines()
-    expected = {
-        (row["params"]["functional"], row["params"]["model"]): row["expected"]
-        for row in load_reproduce_manifest()
-        if row["kind"] == "lhv_max"
-    }
+    checks = {row["id"]: row for row in run_reproduction()}
+    expected = {(functional, model): checks[f"{functional}-{model}-bound"]["expected"]
+                for pairs in LHV_ROWS.values() for functional, model in pairs}
     sizes = {"local": len(enumerate_local()), "hybrid": len(enumerate_hybrid())}
     for start, pairs in LHV_ROWS.items():
         (line,) = [line for line in lines if line.startswith(f"| {start}")]
@@ -337,7 +335,7 @@ def test_docs_hidden_variable_bounds_are_the_computed_ones(doc):
             f"{doc} figure ({label})",
             all(value == computed[pair] == expected[pair] for pair in pairs),
             f"{doc} prints {figure}, lhv_max computes {computed}, "
-            f"the manifest expects { {pair: expected[pair] for pair in pairs} }",
+            f"reproduce expects { {pair: expected[pair] for pair in pairs} }",
         )
         # A row of one model class prints its strategy count.
         printed = [int(n) for n in re.findall(r"\((\d+) strategies\)", label)]

@@ -35,15 +35,22 @@ def test_reproduce_passes_and_exits_zero(capsys):
     assert "8/8 checks passed" in out
 
 
-def test_reproduce_manifest_is_parsed_once_and_read_only():
-    rows = cli.load_reproduce_manifest()
-    assert cli.load_reproduce_manifest() is rows
-    assert isinstance(rows, tuple) and len(rows) == 8
-    with pytest.raises(TypeError):
-        rows[0]["expected"] = 0.0
-    with pytest.raises(TypeError):
-        rows[0]["params"]["state"] = "ghz-hv"
-    assert [row["id"] for row in cli.run_reproduction()] == [row["id"] for row in rows]
+def test_reproduce_checks_are_pinned_in_report_order():
+    # (id, label, expected, tolerance) of each check; the critical visibility
+    # expects the bound over the paper's rounded maximum, 4.354.
+    checks = [
+        ("mermin-w-tested-settings", "S_M(W) at (90.000, 0.000) deg", 3.0, 1e-9),
+        ("svetlichny-w-tested-settings", "S_V(W) at (90.000, 0.000) deg", 3.0, 1e-9),
+        ("svetlichny-w-optimal-settings", "S_V(W) at (35.264, 144.736) deg", 4.354, 1e-3),
+        ("mermin-local-bound", "max |S_M|, local models", 2.0, 0.0),
+        ("mermin-hybrid-bound", "max |S_M|, hybrid models", 4.0, 0.0),
+        ("svetlichny-local-bound", "max |S_V|, local models", 4.0, 0.0),
+        ("svetlichny-hybrid-bound", "max |S_V|, hybrid models", 4.0, 0.0),
+        ("critical-visibility-w", "critical visibility, S_V(W)", 0.9186954524575103, 1e-3),
+    ]
+    rows = cli.run_reproduction()
+    assert [(row["id"], row["label"], row["expected"], row["tolerance"])
+            for row in rows] == checks
 
 
 def test_reproduce_json_round_trips(capsys):
@@ -931,22 +938,22 @@ def test_reproduce_contracts_each_state_and_settings_pair_once(monkeypatch):
     values = {row["id"]: row["value"] for row in cli.run_reproduction()}
     assert len(calls) == 2
     monkeypatch.undo()
-    checked = 0
-    for row in cli.load_reproduce_manifest():
-        params = row["params"]
-        if row["kind"] == "lhv_max":
-            continue
-        state = cli.NAMED_STATES[params["state"]]
-        pairs = symmetric_pairs(math.radians(params["phi_deg"]),
-                                math.radians(params["phi_prime_deg"]))
-        functional = Functional(params["functional"])
-        if row["kind"] == "functional_value":
-            expected = functional_value(correlation_tensor(state, pairs), functional)
+    # Each check that reads a tensor: its state, settings in degrees, functional,
+    # and whether it reports the critical visibility rather than the value.
+    checks = {
+        "mermin-w-tested-settings": ("w", 90.0, 0.0, "mermin", False),
+        "svetlichny-w-tested-settings": ("w", 90.0, 0.0, "svetlichny", False),
+        "svetlichny-w-optimal-settings": ("w", 35.264, 144.736, "svetlichny", False),
+        "critical-visibility-w": ("w", 35.264, 144.736, "svetlichny", True),
+    }
+    for check_id, (name, phi, phi_prime, functional, critical) in checks.items():
+        state = cli.NAMED_STATES[name]
+        pairs = symmetric_pairs(math.radians(phi), math.radians(phi_prime))
+        if critical:
+            expected = shots.critical_visibility(state, pairs, Functional(functional))
         else:
-            expected = shots.critical_visibility(state, pairs, functional)
-        assert values[row["id"]].hex() == expected.hex()
-        checked += 1
-    assert checked == 4
+            expected = functional_value(correlation_tensor(state, pairs), Functional(functional))
+        assert values[check_id].hex() == expected.hex()
 
 
 REQUESTS = {

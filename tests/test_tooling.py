@@ -1,7 +1,8 @@
 """Checks on the tooling around the package: the pytest settings in
 pyproject.toml report failures rather than abort on them, the benchmark's
 span tracer still finds every entry point it wraps, commands that never
-sample leave numpy.random unimported, and CI runs no check of its own."""
+sample leave numpy.random unimported, a reproduce request opens no file, and
+CI runs no check of its own."""
 
 import importlib.util
 import json
@@ -111,6 +112,33 @@ def test_commands_that_never_sample_leave_numpy_random_unimported():
     if loaded[0]:
         pytest.skip("importing numpy alone loads numpy.random, as numpy 1.x does")
     assert loaded == [False] * 8 + [True]
+
+
+#: Run in a fresh interpreter: the paths a reproduce request opens, once the
+#: package is imported and the parser built.
+FILES_OPENED = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    import tribell.cli
+    tribell.cli.build_parser()
+    opened = []
+    sys.addaudithook(lambda event, args: opened.append(str(args[0])) if event == "open" else None)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = tribell.cli.main(["reproduce", "--format", "json"])
+    print(json.dumps([code, opened]))
+    """
+)
+
+
+def test_reproduce_request_opens_no_file():
+    # Every check is computed from constants in the code, so a cold request
+    # reads nothing from disk.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FILES_OPENED],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
 
 
 #: What a CI command may do: install, call the console script, run pytest, or
