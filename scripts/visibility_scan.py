@@ -23,5 +23,5 @@ if __name__ == "__main__":
     for v in np.linspace(0.0, 1.0, 21):
         value = abs(svetlichny_value(correlation_tensor(StateTensor(state, v), PAIRS)))
         print(f"  {v:6.3f}    {value:8.5f}   {'yes' if value > 4.0 else 'no'}")
-    v_star = critical_visibility(state, PAIRS, Functional.SVETLICHNY)
+    v_star = critical_visibility(correlation_tensor(state, PAIRS), Functional.SVETLICHNY)
     print(f"\ncritical visibility v* = {v_star:.6f}  (4/4.354 = {4.0 / 4.354:.6f})")

@@ -212,7 +212,7 @@ def run_reproduction() -> list[dict]:
          lhv_max(svetlichny, hybrid).max_value, 4.0, 0.0),
         # The bound over the paper's rounded maximum, 4.354.
         ("critical-visibility-w", "critical visibility, S_V(W)",
-         shots.critical_visibility_from_tensor(quoted, svetlichny), 4 / 4.354, 1e-3),
+         shots.critical_visibility(quoted, svetlichny), 4 / 4.354, 1e-3),
     )
     return [
         {"id": check_id, "label": label, "value": value, "expected": expected,

@@ -194,8 +194,9 @@ class StateTensor:
     values = v*T with 1 - v added to T[0, 0, 0], the tensor of
     v*rho + (1-v)*identity/8 (mix_with_white_noise); at v = 1 it equals T
     bitwise, so StateTensor(StateTensor(state), v) equals StateTensor(state, v).
-    correlation, outcome_distribution, correlation_tensor, sample_counts,
-    critical_visibility and optimize take it in place of a state.
+    Built from a StateTensor at visibility u, it holds the state at u*v and
+    records that product as its visibility.  correlation, outcome_distribution,
+    correlation_tensor, sample_counts and optimize take it in place of a state.
     """
 
     state: InitVar[PureState | DensityMatrix | StateTensor]
@@ -209,6 +210,8 @@ class StateTensor:
         values = v * pauli_coefficients(state)
         values[0, 0, 0] += 1.0 - v
         values.flags.writeable = False
+        if isinstance(state, StateTensor):
+            v *= state.visibility
         object.__setattr__(self, "visibility", v)
         object.__setattr__(self, "values", values)
 

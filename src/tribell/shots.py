@@ -27,7 +27,6 @@ from .inequalities import (
     Functional,
     InequalityReport,
     classify,
-    correlation_tensor,
     functional_value,
     pair_phases,
 )
@@ -207,22 +206,14 @@ def estimate_inequality(
     )
 
 
-def critical_visibility(
-    state: PureState | DensityMatrix | StateTensor,
-    pairs,
-    functional: Functional,
-) -> float:
+def critical_visibility(tensor: CorrelationTensor, functional: Functional) -> float:
     """Smallest visibility at which |functional| crosses its bound, in closed form.
 
-    White noise contributes nothing to any correlation (the observables are
-    traceless), so the functional of v*rho + (1-v)*identity/8 is v times its
-    value S at v = 1, and the crossing is v* = bound / |S|.
+    tensor is the state's correlation tensor at full visibility.  White noise
+    contributes nothing to any correlation (the observables are traceless), so
+    the functional of v*rho + (1-v)*identity/8 is v times its value S at v = 1,
+    and the crossing is v* = bound / |S|.
     """
-    return critical_visibility_from_tensor(correlation_tensor(state, pairs), functional)
-
-
-def critical_visibility_from_tensor(tensor: CorrelationTensor, functional: Functional) -> float:
-    """critical_visibility of the state whose correlation tensor at full visibility this is."""
     functional = Functional(functional)
     value = abs(functional_value(tensor, functional))
     if value <= BOUND[functional]:

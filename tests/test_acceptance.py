@@ -154,7 +154,7 @@ def test_criterion_5_ghz_envelope_and_classification():
 
 
 def test_criterion_6_visibility_threshold():
-    v_star = critical_visibility(make_w(), QUOTED_PAIRS, Functional.SVETLICHNY)
+    v_star = critical_visibility(correlation_tensor(make_w(), QUOTED_PAIRS), Functional.SVETLICHNY)
     rho = pure_to_density(make_w())
     full = svetlichny_value(correlation_tensor(rho, QUOTED_PAIRS))
     linear_ok = all(

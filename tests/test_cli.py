@@ -934,7 +934,6 @@ def test_reproduce_contracts_each_state_and_settings_pair_once(monkeypatch):
         return correlation_tensor(state, pairs)
 
     monkeypatch.setattr(cli, "correlation_tensor", counting_tensor)
-    monkeypatch.setattr(shots, "correlation_tensor", counting_tensor)
     values = {row["id"]: row["value"] for row in cli.run_reproduction()}
     assert len(calls) == 2
     monkeypatch.undo()
@@ -947,12 +946,12 @@ def test_reproduce_contracts_each_state_and_settings_pair_once(monkeypatch):
         "critical-visibility-w": ("w", 35.264, 144.736, "svetlichny", True),
     }
     for check_id, (name, phi, phi_prime, functional, critical) in checks.items():
-        state = cli.NAMED_STATES[name]
-        pairs = symmetric_pairs(math.radians(phi), math.radians(phi_prime))
+        tensor = correlation_tensor(cli.NAMED_STATES[name],
+                                    symmetric_pairs(math.radians(phi), math.radians(phi_prime)))
         if critical:
-            expected = shots.critical_visibility(state, pairs, Functional(functional))
+            expected = shots.critical_visibility(tensor, Functional(functional))
         else:
-            expected = functional_value(correlation_tensor(state, pairs), Functional(functional))
+            expected = functional_value(tensor, Functional(functional))
         assert values[check_id].hex() == expected.hex()
 
 

@@ -454,14 +454,16 @@ def test_state_tensor_mixes_white_noise_into_the_coefficients(seed, pure, visibi
     outer=st.floats(0.0, 1.0),
     inner=st.floats(0.0, 1.0),
 )
+@example(seed=0, pure=True, outer=0.7, inner=0.9)
 def test_state_tensor_of_a_state_tensor_multiplies_the_visibilities(seed, pure, outer, inner):
-    # sample_counts wraps whatever it is given in a StateTensor; a StateTensor
-    # passes through at v = 1 unchanged to the bit.
+    # Rescaling a StateTensor holds, and records, the state at the product of
+    # the two visibilities; at v = 1 it passes through unchanged to the bit.
     rng = np.random.default_rng(seed)
     state = random_pure(rng) if pure else random_density(rng)
     tensor = StateTensor(state, inner)
-    nested = StateTensor(tensor, outer).values
-    assert np.abs(nested - StateTensor(state, inner * outer).values).max() <= 1e-15
+    nested = StateTensor(tensor, outer)
+    assert nested.visibility == inner * outer
+    assert np.abs(nested.values - StateTensor(state, inner * outer).values).max() <= 1e-15
     assert np.array_equal(StateTensor(tensor).values, tensor.values)
 
 

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import maximally_mixed, pure_to_density, random_density, random_pure
+from helpers import maximally_mixed, pure_to_density, random_angles, random_density, random_pure
 from tribell import (
     BOUND,
     Classification,
     CorrelationTensor,
     CountTable,
+    DensityMatrix,
     Functional,
     OptimizationConfig,
     SettingsPair,
@@ -230,8 +231,8 @@ def test_sampling_needs_one_pair_per_party(count):
          "expected one SettingsPair per party"),
         (lambda n: sample_counts(make_w(), [SettingsPair(0.0, 1.0)] * n, 10, seed=1),
          "expected one SettingsPair per party"),
-        (lambda n: critical_visibility(make_w(), [SettingsPair(0.0, 1.0)] * n,
-                                       Functional.SVETLICHNY),
+        (lambda n: critical_visibility(
+            correlation_tensor(make_w(), [SettingsPair(0.0, 1.0)] * n), Functional.SVETLICHNY),
          "expected one SettingsPair per party"),
     ],
     ids=["correlation", "outcome_distribution", "correlation_tensor", "sample_counts",
@@ -462,6 +463,26 @@ def test_error_bars_cover_the_exact_value_at_their_stated_rate():
     assert all(0.93 <= count / 2000 <= 0.97 for count in covered.values()), covered
 
 
+@pytest.mark.parametrize("order", [(1, 2, 0), (2, 0, 1)], ids=["bca", "cab"])
+def test_sampling_the_permuted_parties_permutes_the_estimates(order):
+    # Qubit q of the permuted state is qubit order[q] of rho, measured with its
+    # pair, so its estimates are rho's with their axes permuted alike; drawn
+    # from another seed, they agree within the two tables' combined errors.
+    rng = np.random.default_rng(34)
+    inverse = np.argsort(order)
+    axes = [*order, *(3 + q for q in order)]
+    for seed in range(3):
+        rho = random_density(rng)
+        pairs = [SettingsPair(*random_angles(rng, 2)) for _ in range(3)]
+        permuted = DensityMatrix(rho.entries.reshape((2,) * 6).transpose(axes).reshape(8, 8))
+        tensor, errors = estimate_tensor(sample_counts(rho, pairs, 10_000, seed))
+        moved, moved_errors = estimate_tensor(
+            sample_counts(permuted, [pairs[q] for q in order], 10_000, seed + 100))
+        difference = moved.values.transpose(inverse) - tensor.values
+        combined = np.hypot(moved_errors.transpose(inverse), errors)
+        assert (np.abs(difference) <= 5.0 * combined).all()
+
+
 def test_functional_is_linear_in_visibility():
     rho = pure_to_density(make_w())
     exact = correlation_tensor(rho, OPTIMAL_PAIRS)
@@ -474,7 +495,8 @@ def test_functional_is_linear_in_visibility():
 
 
 def test_critical_visibility_matches_bound_ratio():
-    v_star = critical_visibility(make_w(), OPTIMAL_PAIRS, Functional.SVETLICHNY)
+    v_star = critical_visibility(correlation_tensor(make_w(), OPTIMAL_PAIRS),
+                                 Functional.SVETLICHNY)
     assert abs(v_star - 4.0 / 4.354) < 1e-3
     assert v_star == pytest.approx(4.0 / S_V_OPTIMAL, abs=1e-5)
 
@@ -489,14 +511,14 @@ def test_critical_visibility_matches_bound_ratio():
     ],
 )
 def test_critical_visibility_is_bound_over_full_value(functional, state, pairs):
-    value = abs(functional_value(correlation_tensor(state, pairs), functional))
-    v_star = critical_visibility(state, pairs, functional)
-    assert v_star == BOUND[functional] / value
+    tensor = correlation_tensor(state, pairs)
+    value = abs(functional_value(tensor, functional))
+    assert critical_visibility(tensor, functional) == BOUND[functional] / value
 
 
 def test_critical_visibility_requires_violation():
     with pytest.raises(ValueError):
-        critical_visibility(make_w(), COMMENT_PAIRS, Functional.SVETLICHNY)
+        critical_visibility(correlation_tensor(make_w(), COMMENT_PAIRS), Functional.SVETLICHNY)
 
 
 def test_count_table_serialization():

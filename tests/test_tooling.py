@@ -1,8 +1,9 @@
 """Checks on the tooling around the package: the pytest settings in
 pyproject.toml report failures rather than abort on them, the benchmark's
-span tracer still finds every entry point it wraps, commands that never
-sample leave numpy.random unimported, a reproduce request opens no file, and
-CI runs no check of its own."""
+span tracer still finds every entry point it wraps and the CLI's requests
+reach all but three of them, commands that never sample leave numpy.random
+unimported, a reproduce request opens no file, and CI runs no check of its
+own."""
 
 import importlib.util
 import json
@@ -60,19 +61,39 @@ def _traced_object(name: str):
     return original.__dict__["__post_init__"] if isinstance(original, type) else original
 
 
-def test_bench_tracer_wraps_every_traced_name_and_restores_it(monkeypatch):
+#: Traced names that no CLI request calls: library helpers the tests use.
+UNSERVED = {"qstate.as_density", "qstate.mix_with_white_noise", "lhv.strategy_tensor"}
+
+
+def test_bench_tracer_wraps_every_traced_name_and_restores_it(monkeypatch, tmp_path):
     # The tracer wraps entry points by name, so renaming a traced name in the
-    # package fails here, not only in a traced benchmark run.
+    # package fails here, not only in a traced benchmark run; and a CLI path
+    # that moves to an untraced function drops a span from the set.
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up there
     spec.loader.exec_module(tracer)
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps(tribell.as_density(tribell.make_w()).to_jsonable()))
+    requests = [["reproduce"], ["optimize", "--functional", "mermin"],
+                ["lhv-scan", "--functional", "mermin", "--model", "local"],
+                ["sample", "--pairs", "0,90", "--shots", "10"],
+                ["correlations", "--pairs", "0,90"],
+                ["correlations", "--state", str(rho), "--angles", "0"]]
     originals = {name: _traced_object(name) for name in tracer.TRACED}
     with tracer.Tracer() as spans:
         assert all(_traced_object(name) is not originals[name] for name in tracer.TRACED)
-        assert tribell.cli.main(["lhv-scan", "--functional", "mermin", "--model", "local"]) == 0
+        for request, argv in enumerate(requests):
+            spans.request = request
+            assert tribell.cli.main(argv) == 0, argv
     assert {name: _traced_object(name) for name in tracer.TRACED} == originals
-    assert {"cli.main", "lhv.lhv_max"} <= {span.name for span in spans.spans}
+    assert {span.name for span in spans.spans} == set(tracer.TRACED) - UNSERVED
+    by_id = {span.span_id: span for span in spans.spans}
+    assert sum(span.request == 0 and span.name == "shots.critical_visibility"
+               for span in spans.spans) == 1
+    assert not any(span.name == "inequalities.correlation_tensor"
+                   and tracer._under(span, "shots.critical_visibility", by_id)
+                   for span in spans.spans)
 
 
 #: Run in a fresh interpreter: whether numpy.random is loaded after importing
