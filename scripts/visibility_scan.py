@@ -10,8 +10,8 @@ from tribell import (
     StateTensor,
     correlation_tensor,
     critical_visibility,
+    functional_value,
     make_w,
-    svetlichny_value,
     symmetric_pairs,
 )
 
@@ -21,7 +21,8 @@ if __name__ == "__main__":
     state = StateTensor(make_w())
     print("visibility   |S_V|      violates hybrid bound 4")
     for v in np.linspace(0.0, 1.0, 21):
-        value = abs(svetlichny_value(correlation_tensor(StateTensor(state, v), PAIRS)))
+        tensor = correlation_tensor(StateTensor(state, v), PAIRS)
+        value = abs(functional_value(tensor, Functional.SVETLICHNY))
         print(f"  {v:6.3f}    {value:8.5f}   {'yes' if value > 4.0 else 'no'}")
     v_star = critical_visibility(correlation_tensor(state, PAIRS), Functional.SVETLICHNY)
     print(f"\ncritical visibility v* = {v_star:.6f}  (4/4.354 = {4.0 / 4.354:.6f})")

@@ -12,8 +12,6 @@ from .inequalities import (
     correlation_tensor,
     functional_value,
     mermin_partner_value,
-    mermin_value,
-    svetlichny_value,
     symmetric_pairs,
 )
 from .lhv import (
@@ -29,7 +27,6 @@ from .lhv import (
     strategy_tensor,
 )
 from .optimizer import (
-    OptimizationConfig,
     OptimizationResult,
     optimize,
 )

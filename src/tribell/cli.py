@@ -250,9 +250,8 @@ def cmd_reproduce(args) -> int:
 def cmd_optimize(args) -> int:
     shots.check_integer(args.restarts, "--restarts", 0, optimizer.MAX_RANDOM_RESTARTS)
     state = _request_state(args)
-    config = optimizer.OptimizationConfig(seed=args.seed, random_restarts=args.restarts)
     functional = Functional(args.functional)
-    result = optimizer.optimize(state, functional, config)
+    result = optimizer.optimize(state, functional, seed=args.seed, random_restarts=args.restarts)
     report = classify(result.best_value, functional)
     payload = result.to_jsonable()
     payload.update(

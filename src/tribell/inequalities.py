@@ -70,9 +70,6 @@ class SettingsPair:
         object.__setattr__(self, "phi", wrap_phase(float(self.phi)))
         object.__setattr__(self, "phi_prime", wrap_phase(float(self.phi_prime)))
 
-    def setting(self, index: int) -> float:
-        return self.phi if index == 0 else self.phi_prime
-
     @property
     def is_degenerate(self) -> bool:
         return self.phi == self.phi_prime
@@ -96,19 +93,12 @@ class CorrelationTensor:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def __getitem__(self, index) -> float:
-        return float(self.values[index])
-
     def swapped(self) -> "CorrelationTensor":
         """Tensor with primed and unprimed roles exchanged for every party."""
         return CorrelationTensor(self.values[::-1, ::-1, ::-1])
 
     def to_jsonable(self) -> dict:
         return dict(zip(SETTING_KEYS, self.values.ravel().tolist()))
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "CorrelationTensor":
-        return cls([float(data[key]) for key in SETTING_KEYS])
 
     def to_csv_rows(self) -> list[list]:
         values = self.values.ravel().tolist()
@@ -138,28 +128,18 @@ def correlation_tensor(
     return CorrelationTensor(_correlations(state, pair_phases(pairs)))
 
 
-def mermin_value(tensor: CorrelationTensor) -> float:
-    """E[0,0,1] + E[0,1,0] + E[1,0,0] - E[1,1,1]."""
-    return functional_value(tensor, Functional.MERMIN)
-
-
-def mermin_partner_value(tensor: CorrelationTensor) -> float:
-    """The complementary Mermin combination, -M applied to the prime-swapped tensor."""
-    return -mermin_value(tensor.swapped())
-
-
-def svetlichny_value(tensor: CorrelationTensor) -> float:
-    """Sum of all eight correlations, signed + for at most one primed setting.
-
-    Equals mermin_value + mermin_partner_value; the identity is exercised in
-    the test suite.
-    """
-    return functional_value(tensor, Functional.SVETLICHNY)
-
-
 def functional_value(tensor: CorrelationTensor, functional: Functional) -> float:
     """The functional's sign tensor contracted with the correlation tensor."""
     return float(np.vdot(SIGN_TENSOR[Functional(functional)], tensor.values))
+
+
+def mermin_partner_value(tensor: CorrelationTensor) -> float:
+    """The complementary Mermin combination M', -M of the prime-swapped tensor.
+
+    M + M' is the Svetlichny functional; the identity is exercised in the
+    test suite.
+    """
+    return -functional_value(tensor.swapped(), Functional.MERMIN)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ one party's best phases, the other two fixed, are closed form.
 Block sweeps alone converge only linearly where the parties' phases are
 coupled, so each sweep after the first is followed by a saddle-free Newton
 step over all six phases, whose exact gradient and Hessian the trilinear form
-gives in closed form.  Everything is deterministic for a fixed config,
-including the reduction over ascent runs: the first candidate in seed order
-within _TOLERANCE of the maximum value.
+gives in closed form.  Everything is deterministic for a fixed seed and
+random_restarts, including the reduction over ascent runs: the first
+candidate in seed order whose value is at least (1 - _TOLERANCE) times the
+maximum.
 """
 
 from __future__ import annotations
@@ -34,18 +35,20 @@ _SEEDS = np.tile(
 )
 _SEEDS.flags.writeable = False
 
-#: Cap on the random restarts of any valid config.
+#: Cap on optimize's random_restarts.
 MAX_RANDOM_RESTARTS = 10_000
 
 #: The ascent's stopping rule, fixed: a row stops once no phase moves more
 #: than _TOLERANCE radians in a sweep, or after _MAX_SWEEPS iterations, and
-#: values within _TOLERANCE of each other tie.  |S| is stationary at a maximum,
-#: so a phase error delta moves it only by O(delta**2): at 1e-8, about the
-#: square root of the float64 epsilon, a finer tolerance moves |S| by rounding,
-#: or by up to about 2e-13 where the maximum is so flat that a row stops
-#: farther from it.  It also lies far above one ulp of 2*pi (8.9e-16), below
-#: which a row's phases can cycle at rounding level and never stop, so every
-#: row stops long before the cap.
+#: values within _TOLERANCE of the largest, relative to it, tie: S scales
+#: with the visibility, and an absolute margin would tie every value below
+#: about 1e-8, a saddle's too.  |S| is stationary at a maximum, so a phase
+#: error delta moves it only by O(delta**2): at 1e-8, about the square root
+#: of the float64 epsilon, a finer tolerance moves |S| by rounding, or by up
+#: to about 2e-13 where the maximum is so flat that a row stops farther from
+#: it.  It also lies far above one ulp of 2*pi (8.9e-16), below which a
+#: row's phases can cycle at rounding level and never stop, so every row
+#: stops long before the cap.
 _TOLERANCE = 1e-8
 _MAX_SWEEPS = 2000
 #: A field whose entries are all at most this share of max|K|, K the
@@ -53,16 +56,6 @@ _MAX_SWEEPS = 2000
 #: seed (phi = phi') a Mermin field is rounding noise, whose direction
 #: visibility would rescale into a new phase.
 _ZERO_FIELD = 1e-12
-
-
-@dataclass(frozen=True)
-class OptimizationConfig:
-    seed: int = 0
-    random_restarts: int = 0
-
-    def __post_init__(self):
-        check_integer(self.random_restarts, "random_restarts", 0, MAX_RANDOM_RESTARTS)
-        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -270,38 +263,43 @@ def _values(blocks: list, g: np.ndarray) -> np.ndarray:
 def optimize(
     state: PureState | DensityMatrix | StateTensor,
     functional: Functional,
-    config: OptimizationConfig | None = None,
+    *,
+    seed: int = 0,
+    random_restarts: int = 0,
 ) -> OptimizationResult:
     """Maximize |functional| over the six analyzer phases.
 
-    Candidates come in seed order: the eight _SEEDS, then the random restarts
-    in draw order.  All candidates ascend together, as one batch.  The first
-    candidate whose value lies within _TOLERANCE of the maximum over all
-    candidates is reported.  The trace has a point, at the ascent iterations
-    run so far in seed order, for the first candidate and for each later one
-    that beats the best value before it by more than _TOLERANCE, the margin
-    within which values tie.
+    Candidates come in seed order: the eight _SEEDS, then random_restarts
+    phases drawn uniformly from numpy's default_rng(seed).  ValueError, before
+    any work, unless random_restarts lies in [0, MAX_RANDOM_RESTARTS] and seed
+    in [0, 2**64 - 1].  All candidates ascend together, as one batch.  The
+    margin is _TOLERANCE times the maximum over all candidates, so the result
+    scales with the state's visibility.  The first candidate within the
+    margin of the maximum is reported.  The trace has a point, at the ascent
+    iterations run so far in seed order, for the first candidate and for each
+    later one that beats the best value before it by more than the margin.
     """
-    if config is None:
-        config = OptimizationConfig()
+    check_integer(random_restarts, "random_restarts", 0, MAX_RANDOM_RESTARTS)
+    check_seed(seed)
     form = _trilinear_form(state, functional)
 
     seeds = _SEEDS
-    if config.random_restarts:
+    if random_restarts:
         # Only now, since the first default_rng call imports numpy.random.
-        rng = np.random.default_rng(config.seed)
-        restarts = rng.uniform(0.0, TWO_PI, (config.random_restarts, 6))
+        rng = np.random.default_rng(seed)
+        restarts = rng.uniform(0.0, TWO_PI, (random_restarts, 6))
         seeds = np.concatenate((seeds, restarts))
 
     x, values, iterations = _ascend(form, seeds, _TOLERANCE, _MAX_SWEEPS)
+    margin = _TOLERANCE * values.max()
 
     best_so_far, trace = -math.inf, []
     for total, f in zip(np.cumsum(iterations).tolist(), values.tolist()):
-        if f > best_so_far + _TOLERANCE:
+        if f > best_so_far + margin:
             best_so_far = f
             trace.append((total, f))
 
-    best = int(np.flatnonzero(values >= values.max() - _TOLERANCE)[0])
+    best = int(np.flatnonzero(values >= values.max() - margin)[0])
     best_x = x[best].tolist()
     pairs = tuple(
         SettingsPair(best_x[2 * p], best_x[2 * p + 1]) for p in range(3)

@@ -21,7 +21,6 @@ import numpy as np
 from .inequalities import (
     BOUND,
     SETTING_CHOICES,
-    SETTING_KEYS,
     SIGN_TENSOR,
     CorrelationTensor,
     Functional,
@@ -97,13 +96,6 @@ class CountTable:
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n_shots_per_setting", n)
-
-    def to_jsonable(self) -> dict:
-        table = {
-            key: dict(zip(OUTCOME_LABELS, row))
-            for key, row in zip(SETTING_KEYS, self.counts.reshape(8, 8).tolist())
-        }
-        return {"n_shots_per_setting": self.n_shots_per_setting, "counts": table}
 
     def to_csv_rows(self) -> list[list]:
         return [

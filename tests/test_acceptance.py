@@ -35,17 +35,16 @@ from tribell import (
     enumerate_local,
     estimate_inequality,
     estimate_tensor,
+    functional_value,
     lhv_max,
     make_ghz,
     make_w,
-    mermin_value,
     mix_with_white_noise,
     mixture_tensor,
     optimize,
     outcome_distribution,
     sample_counts,
     strategy_tensor,
-    svetlichny_value,
     symmetric_pairs,
 )
 from tribell.cli import run_reproduction
@@ -61,7 +60,7 @@ def _check(name: str, ok: bool, detail: str):
 
 
 def test_criterion_1_svetlichny_prediction_at_tested_settings():
-    value = svetlichny_value(correlation_tensor(make_w(), TESTED_PAIRS))
+    value = functional_value(correlation_tensor(make_w(), TESTED_PAIRS), Functional.SVETLICHNY)
     _check(
         "criterion 1 (S_V of W at (90, 0) deg)",
         abs(value - 3.0) <= 1e-9,
@@ -71,9 +70,10 @@ def test_criterion_1_svetlichny_prediction_at_tested_settings():
 
 def test_criterion_2_mermin_companion_value():
     tensor = correlation_tensor(make_w(), TESTED_PAIRS)
-    value = mermin_value(tensor)
+    value = functional_value(tensor, Functional.MERMIN)
     # consistency: three terms of 2/3 plus the -E[1,1,1] = 1 term
-    composed = tensor[0, 0, 1] + tensor[0, 1, 0] + tensor[1, 0, 0] - tensor[1, 1, 1]
+    e = tensor.values
+    composed = e[0, 0, 1] + e[0, 1, 0] + e[1, 0, 0] - e[1, 1, 1]
     _check(
         "criterion 2 (S_M of W at (90, 0) deg)",
         abs(value - 3.0) <= 1e-9 and abs(composed - value) <= 1e-12,
@@ -82,7 +82,8 @@ def test_criterion_2_mermin_companion_value():
 
 
 def test_criterion_3_optimal_svetlichny_violation():
-    quoted_value = svetlichny_value(correlation_tensor(make_w(), QUOTED_PAIRS))
+    quoted_tensor = correlation_tensor(make_w(), QUOTED_PAIRS)
+    quoted_value = functional_value(quoted_tensor, Functional.SVETLICHNY)
     start = time.perf_counter()
     result = optimize(make_w(), Functional.SVETLICHNY)
     elapsed = time.perf_counter() - start
@@ -114,11 +115,7 @@ def test_criterion_4_model_bounds_by_enumeration():
     witnessed = {}
     for (functional, model), bound in expected.items():
         result = lhv_max(functional, model)
-        recomputed = (
-            mermin_value(strategy_tensor(result.witness))
-            if functional is Functional.MERMIN
-            else svetlichny_value(strategy_tensor(result.witness))
-        )
+        recomputed = functional_value(strategy_tensor(result.witness), functional)
         witnessed[(functional, model)] = (
             result.max_value == bound and recomputed == result.max_value
         )
@@ -136,7 +133,7 @@ def test_criterion_5_ghz_envelope_and_classification():
     target = 4.0 * math.sqrt(2.0)
     ghz_report = classify(result.best_value, Functional.SVETLICHNY)
     w_report = classify(
-        svetlichny_value(correlation_tensor(make_w(), TESTED_PAIRS)),
+        functional_value(correlation_tensor(make_w(), TESTED_PAIRS), Functional.SVETLICHNY),
         Functional.SVETLICHNY,
     )
     ok = (
@@ -156,11 +153,12 @@ def test_criterion_5_ghz_envelope_and_classification():
 def test_criterion_6_visibility_threshold():
     v_star = critical_visibility(correlation_tensor(make_w(), QUOTED_PAIRS), Functional.SVETLICHNY)
     rho = pure_to_density(make_w())
-    full = svetlichny_value(correlation_tensor(rho, QUOTED_PAIRS))
+    full = functional_value(correlation_tensor(rho, QUOTED_PAIRS), Functional.SVETLICHNY)
     linear_ok = all(
         abs(
-            svetlichny_value(
-                correlation_tensor(mix_with_white_noise(rho, v), QUOTED_PAIRS)
+            functional_value(
+                correlation_tensor(mix_with_white_noise(rho, v), QUOTED_PAIRS),
+                Functional.SVETLICHNY,
             )
             - v * full
         )
@@ -225,8 +223,8 @@ def test_criterion_8_property_suites():
 
     for trial in range(100):  # algebraic maxima on arbitrary [-1, 1] tensors
         tensor = CorrelationTensor(rng.uniform(-1.0, 1.0, (2, 2, 2)))
-        if abs(mermin_value(tensor)) > 4.0 + 1e-12 or abs(
-            svetlichny_value(tensor)
+        if abs(functional_value(tensor, Functional.MERMIN)) > 4.0 + 1e-12 or abs(
+            functional_value(tensor, Functional.SVETLICHNY)
         ) > 8.0 + 1e-12:
             failures.append(f"algebraic maxima, trial {trial}")
             break
@@ -236,8 +234,8 @@ def test_criterion_8_property_suites():
         weights = rng.dirichlet(np.ones(8))
         chosen = rng.integers(0, 64, size=8)
         mixed = mixture_tensor([(w, local[i]) for w, i in zip(weights, chosen)])
-        if abs(mermin_value(mixed)) > 2.0 + 1e-12 or abs(
-            svetlichny_value(mixed)
+        if abs(functional_value(mixed, Functional.MERMIN)) > 2.0 + 1e-12 or abs(
+            functional_value(mixed, Functional.SVETLICHNY)
         ) > 4.0 + 1e-12:
             failures.append(f"mixture convexity, trial {trial}")
             break

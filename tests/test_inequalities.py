@@ -26,12 +26,11 @@ from tribell import (
     classify,
     correlation,
     correlation_tensor,
+    functional_value,
     make_ghz,
     make_w,
     mermin_partner_value,
-    mermin_value,
     mix_with_white_noise,
-    svetlichny_value,
     symmetric_pairs,
 )
 from tribell.inequalities import SETTING_CHOICES, SETTING_KEYS, pair_phases
@@ -79,12 +78,12 @@ def test_settings_pair_holds_its_phases_wrapped(phi, phi_prime):
 
 def test_w_tensor_at_tested_settings():
     tensor = correlation_tensor(make_w(), COMMENT_PAIRS)
-    assert tensor[1, 1, 1] == pytest.approx(-1.0, abs=1e-12)
-    assert tensor[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert tensor.values[1, 1, 1] == pytest.approx(-1.0, abs=1e-12)
+    assert tensor.values[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
     for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
-        assert tensor[idx] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert tensor.values[idx] == pytest.approx(2.0 / 3.0, abs=1e-12)
     for idx in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-        assert tensor[idx] == pytest.approx(0.0, abs=1e-12)
+        assert tensor.values[idx] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_maximally_mixed_tensor_vanishes():
@@ -99,13 +98,12 @@ def test_correlation_tensor_matches_kronecker_reference(seed, visibility):
     pairs = tuple(SettingsPair(*random_angles(rng, 2)) for _ in range(3))
     tensor = correlation_tensor(rho, pairs)
     for i, j, k in itertools.product((0, 1), repeat=3):
+        a, b, c = ((p.phi, p.phi_prime)[s] for p, s in zip(pairs, (i, j, k)))
         observable = np.kron(
-            np.kron(analyzer_observable(pairs[0].setting(i)),
-                    analyzer_observable(pairs[1].setting(j))),
-            analyzer_observable(pairs[2].setting(k)),
+            np.kron(analyzer_observable(a), analyzer_observable(b)), analyzer_observable(c)
         )
         expected = float(np.trace(rho.entries @ observable).real)
-        assert abs(tensor[i, j, k] - expected) < 1e-12
+        assert abs(tensor.values[i, j, k] - expected) < 1e-12
 
 
 @given(seed=st.integers(0, 2**32 - 1), pure=st.booleans(), visibility=st.floats(0.0, 1.0))
@@ -117,8 +115,8 @@ def test_correlation_is_the_tensor_entry_of_its_angles_bitwise(seed, pure, visib
     pairs = tuple(SettingsPair(*random_angles(rng, 2)) for _ in range(3))
     tensor = correlation_tensor(state, pairs)
     for i, j, k in SETTING_CHOICES:
-        settings = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
-        assert repr(correlation(state, settings)) == repr(tensor[i, j, k])
+        settings = tuple((p.phi, p.phi_prime)[s] for p, s in zip(pairs, (i, j, k)))
+        assert repr(correlation(state, settings)) == repr(float(tensor.values[i, j, k]))
 
 
 @given(
@@ -157,36 +155,33 @@ def test_permuting_the_qubits_permutes_the_tensor_axes(seed, order):
 
 
 def test_mermin_value_cases():
-    assert mermin_value(tensor_from_list([0.0] * 8)) == 0.0
-    assert mermin_value(correlation_tensor(make_w(), COMMENT_PAIRS)) == pytest.approx(
-        3.0, abs=1e-9
-    )
+    assert functional_value(tensor_from_list([0.0] * 8), Functional.MERMIN) == 0.0
+    w_tensor = correlation_tensor(make_w(), COMMENT_PAIRS)
+    assert functional_value(w_tensor, Functional.MERMIN) == pytest.approx(3.0, abs=1e-9)
     ghz_tensor = correlation_tensor(make_ghz("circular_rl"), COMMENT_PAIRS)
-    assert mermin_value(ghz_tensor) == pytest.approx(-4.0, abs=1e-9)
+    assert functional_value(ghz_tensor, Functional.MERMIN) == pytest.approx(-4.0, abs=1e-9)
 
 
 def test_svetlichny_value_cases():
-    assert svetlichny_value(tensor_from_list([0.0] * 8)) == 0.0
-    assert svetlichny_value(
-        correlation_tensor(make_w(), COMMENT_PAIRS)
-    ) == pytest.approx(3.0, abs=1e-9)
-    assert svetlichny_value(
-        correlation_tensor(make_w(), OPTIMAL_PAIRS)
-    ) == pytest.approx(4.354, abs=1e-3)
+    assert functional_value(tensor_from_list([0.0] * 8), Functional.SVETLICHNY) == 0.0
+    tested = correlation_tensor(make_w(), COMMENT_PAIRS)
+    assert functional_value(tested, Functional.SVETLICHNY) == pytest.approx(3.0, abs=1e-9)
+    optimal = correlation_tensor(make_w(), OPTIMAL_PAIRS)
+    assert functional_value(optimal, Functional.SVETLICHNY) == pytest.approx(4.354, abs=1e-3)
 
 
 @given(entries=tensor_entries)
 def test_svetlichny_decomposes_into_mermin_pair(entries):
     tensor = tensor_from_list(entries)
-    combined = mermin_value(tensor) + mermin_partner_value(tensor)
-    assert abs(svetlichny_value(tensor) - combined) < 1e-12
+    combined = functional_value(tensor, Functional.MERMIN) + mermin_partner_value(tensor)
+    assert abs(functional_value(tensor, Functional.SVETLICHNY) - combined) < 1e-12
 
 
 @given(entries=tensor_entries)
 def test_algebraic_maxima_on_random_tensors(entries):
     tensor = tensor_from_list(entries)
-    assert abs(mermin_value(tensor)) <= 4.0 + 1e-12
-    assert abs(svetlichny_value(tensor)) <= 8.0 + 1e-12
+    assert abs(functional_value(tensor, Functional.MERMIN)) <= 4.0 + 1e-12
+    assert abs(functional_value(tensor, Functional.SVETLICHNY)) <= 8.0 + 1e-12
 
 
 def test_algebraic_maxima_attained_on_sign_tensors():
@@ -194,8 +189,8 @@ def test_algebraic_maxima_attained_on_sign_tensors():
     svet_best = 0.0
     for signs in itertools.product((-1.0, 1.0), repeat=8):
         tensor = tensor_from_list(signs)
-        mermin_best = max(mermin_best, abs(mermin_value(tensor)))
-        svet_best = max(svet_best, abs(svetlichny_value(tensor)))
+        mermin_best = max(mermin_best, abs(functional_value(tensor, Functional.MERMIN)))
+        svet_best = max(svet_best, abs(functional_value(tensor, Functional.SVETLICHNY)))
     assert mermin_best == 4.0
     assert svet_best == 8.0
 
@@ -206,8 +201,8 @@ def test_quantum_envelope_on_random_states(seed):
     rho = random_density(rng)
     pairs = tuple(SettingsPair(*random_angles(rng, 2)) for _ in range(3))
     tensor = correlation_tensor(rho, pairs)
-    assert abs(mermin_value(tensor)) <= 4.0 + 1e-6
-    assert abs(svetlichny_value(tensor)) <= 4.0 * math.sqrt(2.0) + 1e-6
+    assert abs(functional_value(tensor, Functional.MERMIN)) <= 4.0 + 1e-6
+    assert abs(functional_value(tensor, Functional.SVETLICHNY)) <= 4.0 * math.sqrt(2.0) + 1e-6
 
 
 def test_classify_mermin_violation_never_rules_out_hybrid():
@@ -274,12 +269,6 @@ def test_tensor_rejects_non_finite_entries(bad):
         tensor_from_list([bad] + [0.0] * 7)
 
 
-def test_tensor_json_round_trip():
-    tensor = correlation_tensor(make_w(), OPTIMAL_PAIRS)
-    restored = CorrelationTensor.from_jsonable(tensor.to_jsonable())
-    assert np.allclose(restored.values, tensor.values, atol=0)
-
-
 def test_tensor_csv_rows():
     tensor = correlation_tensor(make_w(), COMMENT_PAIRS)
     rows = tensor.to_csv_rows()
@@ -298,7 +287,6 @@ def test_tensor_serializes_in_setting_order():
     assert SETTING_CHOICES == tuple(choices)
     assert list(data.items()) == [(f"{i}{j}{k}", tensor.values[i, j, k]) for i, j, k in choices]
     assert tensor.to_csv_rows()[1:] == [[*ijk, tensor.values[ijk]] for ijk in choices]
-    assert np.array_equal(CorrelationTensor.from_jsonable(data).values, tensor.values)
 
 
 def test_report_jsonable_fields():

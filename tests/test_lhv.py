@@ -20,10 +20,8 @@ from tribell import (
     enumerate_local,
     functional_value,
     lhv_max,
-    mermin_value,
     mixture_tensor,
     strategy_tensor,
-    svetlichny_value,
 )
 from tribell.lhv import LocalStrategy, _maximize
 
@@ -95,16 +93,12 @@ def test_lhv_max_exact_bounds_with_witnesses(capsys, functional, model, expected
     assert cli.main(["lhv-scan", *argv]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["max_value"], report["witness"]) == (best_value, best_strategy.to_jsonable())
-    recomputed = strategy_tensor(result.witness)
-    if functional is Functional.MERMIN:
-        assert mermin_value(recomputed) == result.max_value
-    else:
-        assert svetlichny_value(recomputed) == result.max_value
+    assert functional_value(strategy_tensor(result.witness), functional) == result.max_value
 
 
 def test_hybrid_witness_reaches_mermin_algebraic_maximum():
     witness = lhv_max(Functional.MERMIN, ModelClass.HYBRID).witness
-    assert mermin_value(strategy_tensor(witness)) == 4.0
+    assert functional_value(strategy_tensor(witness), Functional.MERMIN) == 4.0
     payload = witness.to_jsonable()
     assert payload["model"] == "hybrid"
     assert set(payload["pair_outputs"]) == {"00", "01", "10", "11"}
@@ -153,8 +147,8 @@ def test_local_mixtures_respect_both_bounds(seed):
     chosen = rng.integers(0, len(local), size=6)
     weights = rng.dirichlet(np.ones(6))
     mixed = mixture_tensor([(w, local[i]) for w, i in zip(weights, chosen)])
-    assert abs(mermin_value(mixed)) <= 2.0 + 1e-12
-    assert abs(svetlichny_value(mixed)) <= 4.0 + 1e-12
+    assert abs(functional_value(mixed, Functional.MERMIN)) <= 2.0 + 1e-12
+    assert abs(functional_value(mixed, Functional.SVETLICHNY)) <= 4.0 + 1e-12
 
 
 @given(
@@ -167,8 +161,8 @@ def test_hybrid_mixtures_respect_svetlichny_bound(seed, partition):
     chosen = rng.integers(0, len(pool), size=6)
     weights = rng.dirichlet(np.ones(6))
     mixed = mixture_tensor([(w, pool[i]) for w, i in zip(weights, chosen)])
-    assert abs(svetlichny_value(mixed)) <= 4.0 + 1e-12
-    assert abs(mermin_value(mixed)) <= 4.0 + 1e-12
+    assert abs(functional_value(mixed, Functional.SVETLICHNY)) <= 4.0 + 1e-12
+    assert abs(functional_value(mixed, Functional.MERMIN)) <= 4.0 + 1e-12
 
 
 def _relabeled(values, party_order, prime_flips):
@@ -184,7 +178,8 @@ def test_local_mermin_bound_invariant_under_relabelings():
     for party_order in itertools.permutations(range(3)):
         for prime_flips in itertools.product((False, True), repeat=3):
             best = max(
-                abs(mermin_value(_relabeled(values, party_order, prime_flips)))
+                abs(functional_value(_relabeled(values, party_order, prime_flips),
+                                     Functional.MERMIN))
                 for values in tensors
             )
             assert best == 2.0

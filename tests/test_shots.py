@@ -19,7 +19,6 @@ from tribell import (
     CountTable,
     DensityMatrix,
     Functional,
-    OptimizationConfig,
     SettingsPair,
     StateTensor,
     correlation,
@@ -31,13 +30,13 @@ from tribell import (
     make_ghz,
     make_w,
     mix_with_white_noise,
+    optimize,
     outcome_distribution,
     sample_counts,
     symmetric_pairs,
 )
 from tribell import polarimetry, shots
-from tribell.inequalities import SETTING_KEYS, pair_phases
-from tribell.polarimetry import OUTCOME_LABELS
+from tribell.inequalities import pair_phases
 from tribell.shots import MAX_SHOTS_PER_SETTING, _setting_stream
 
 COMMENT_PAIRS = symmetric_pairs(math.pi / 2.0, 0.0)
@@ -67,7 +66,7 @@ def test_deterministic_entry_is_estimated_exactly():
     # product -1, so the estimate is exact at any n
     table = sample_counts(make_w(), COMMENT_PAIRS, 10_000, seed=1)
     tensor, std_errors = estimate_tensor(table)
-    assert tensor[1, 1, 1] == -1.0
+    assert tensor.values[1, 1, 1] == -1.0
     assert std_errors[1, 1, 1] == 0.0
 
 
@@ -89,7 +88,7 @@ def test_estimates_concentrate_on_exact_values():
 def test_large_sample_entry_within_five_sigma():
     table = sample_counts(make_w(), COMMENT_PAIRS, 1_000_000, seed=23)
     tensor, std_errors = estimate_tensor(table)
-    assert abs(tensor[0, 0, 1] - 2.0 / 3.0) < 5.0 * std_errors[0, 0, 1]
+    assert abs(tensor.values[0, 0, 1] - 2.0 / 3.0) < 5.0 * std_errors[0, 0, 1]
 
 
 @pytest.mark.parametrize("n", [10**12, MAX_SHOTS_PER_SETTING])
@@ -166,7 +165,7 @@ def test_probability_table_is_the_eight_outcome_distributions_bitwise(
     )
     assert table.shape == (8, 8)
     for index, (i, j, k) in enumerate(itertools.product((0, 1), repeat=3)):
-        phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
+        phis = tuple((p.phi, p.phi_prime)[s] for p, s in zip(pairs, (i, j, k)))
         expected = outcome_distribution(tensor, phis).probs.reshape(8)
         assert table[index].tobytes() == expected.tobytes()
 
@@ -204,8 +203,7 @@ def test_out_of_range_tensor_fails_sampling_as_it_fails_a_distribution(values, m
     tensor = _forced_tensor(values)
     raised = []
     for i, j, k in itertools.product((0, 1), repeat=3):
-        phis = (OPTIMAL_PAIRS[0].setting(i), OPTIMAL_PAIRS[1].setting(j),
-                OPTIMAL_PAIRS[2].setting(k))
+        phis = tuple((p.phi, p.phi_prime)[s] for p, s in zip(OPTIMAL_PAIRS, (i, j, k)))
         with pytest.raises(ValueError) as failure:
             outcome_distribution(tensor, phis)
         raised.append(str(failure.value))
@@ -247,7 +245,7 @@ def test_every_entry_point_names_a_wrong_setting_count(call, message, count):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda value: OptimizationConfig(random_restarts=value),
+        lambda value: optimize(make_w(), Functional.MERMIN, random_restarts=value),
         lambda value: sample_counts(make_w(), COMMENT_PAIRS, value, seed=1),
         lambda value: CountTable(np.zeros((2, 2, 2, 8)), value),
     ],
@@ -282,7 +280,7 @@ def test_counts_follow_outcome_index_order():
     n = 1_000_000
     table = sample_counts(rho, pairs, n, seed=11)
     for i, j, k in itertools.product((0, 1), repeat=3):
-        phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
+        phis = tuple((p.phi, p.phi_prime)[s] for p, s in zip(pairs, (i, j, k)))
         expected = n * outcome_distribution(rho, phis).probs.reshape(8)
         window = 6.0 * np.sqrt(expected * (1.0 - expected / n))
         for a, b in itertools.combinations(range(8), 2):
@@ -486,12 +484,10 @@ def test_sampling_the_permuted_parties_permutes_the_estimates(order):
 def test_functional_is_linear_in_visibility():
     rho = pure_to_density(make_w())
     exact = correlation_tensor(rho, OPTIMAL_PAIRS)
-    from tribell import svetlichny_value
-
-    full = svetlichny_value(exact)
+    full = functional_value(exact, Functional.SVETLICHNY)
     for v in np.linspace(0.0, 1.0, 10):
         mixed = correlation_tensor(mix_with_white_noise(rho, v), OPTIMAL_PAIRS)
-        assert abs(svetlichny_value(mixed) - v * full) < 1e-10
+        assert abs(functional_value(mixed, Functional.SVETLICHNY) - v * full) < 1e-10
 
 
 def test_critical_visibility_matches_bound_ratio():
@@ -523,10 +519,6 @@ def test_critical_visibility_requires_violation():
 
 def test_count_table_serialization():
     table = sample_counts(make_w(), COMMENT_PAIRS, 200, seed=9)
-    payload = table.to_jsonable()
-    assert payload["n_shots_per_setting"] == 200
-    assert set(payload["counts"]) == {f"{i}{j}{k}" for i in (0, 1) for j in (0, 1) for k in (0, 1)}
-    assert sum(payload["counts"]["000"].values()) == 200
     rows = table.to_csv_rows()
     assert rows[0] == ["i", "j", "k", "outcome", "count"]
     assert len(rows) == 1 + 64
@@ -544,12 +536,6 @@ def test_count_table_serializes_in_setting_and_outcome_order():
         for i, j, k in itertools.product((0, 1), repeat=3)
         for oa, ob, oc in itertools.product((0, 1), repeat=3)
     ]
-    payload = table.to_jsonable()["counts"]
-    assert list(payload) == list(SETTING_KEYS)
-    assert all(list(row) == list(OUTCOME_LABELS) for row in payload.values())
-    assert [
-        (key, label, count) for key, row in payload.items() for label, count in row.items()
-    ] == expected
     assert table.to_csv_rows()[1:] == [
         [int(key[0]), int(key[1]), int(key[2]), label, count] for key, label, count in expected
     ]
@@ -565,7 +551,7 @@ def test_each_setting_draws_from_its_own_stream(seed):
     pairs = (SettingsPair(0.3, 2.1), SettingsPair(4.0, 1.2), SettingsPair(5.5, 0.7))
     table = sample_counts(rho, pairs, 1_000, seed=seed)
     for i, j, k in itertools.product((0, 1), repeat=3):
-        phis = (pairs[0].setting(i), pairs[1].setting(j), pairs[2].setting(k))
+        phis = tuple((p.phi, p.phi_prime)[s] for p, s in zip(pairs, (i, j, k)))
         probs = np.clip(outcome_distribution(rho, phis).probs.reshape(8), 0.0, None)
         draw = _setting_stream(seed, 4 * i + 2 * j + k).multinomial(1_000, probs / probs.sum())
         assert np.array_equal(table.counts[i, j, k], draw)

@@ -2,9 +2,11 @@
 pyproject.toml report failures rather than abort on them, the benchmark's
 span tracer still finds every entry point it wraps and the CLI's requests
 reach all but three of them, commands that never sample leave numpy.random
-unimported, a reproduce request opens no file, and CI runs no check of its
-own."""
+unimported, a reproduce request opens no file, CI runs no check of its own,
+and every name the package exports has a caller in the package or its
+scripts, or is kept on purpose."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -12,11 +14,14 @@ import re
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
 
+import tribell
 import tribell.cli
+from helpers import random_density
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -179,3 +184,40 @@ def test_ci_runs_only_what_needs_a_runner():
         commands += [line.strip() for line in block.splitlines() if line.strip()]
     assert any("pytest" in command for command in commands)
     assert [command for command in commands if not CI_COMMAND.fullmatch(command)] == []
+
+
+#: Exported names that no code in src/ or scripts/ calls, kept as the tests'
+#: references (ROADMAP's Keep list): lhv_max's enumeration, PAPER.md's convex
+#: mixtures, the paper's M + M' = S_V identity, criterion 8's reference
+#: identity, and the two qstate functions bench/tracer.py looks up by name.
+KEEP = {"enumerate_local", "enumerate_hybrid", "mixture_tensor", "mermin_partner_value",
+        "correlation_from_distribution", "as_density", "mix_with_white_noise"}
+
+
+def _exported() -> set:
+    return {name for name, value in vars(tribell).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+
+
+def _callerless(names) -> set:
+    """The names that no code in src/tribell, __init__.py aside, or scripts/ reads.
+
+    Only reads count: a def or class line and an import do not.
+    """
+    used = set()
+    for path in [*(ROOT / "src" / "tribell").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return set(names) - used
+
+
+def test_every_export_has_a_caller_or_is_kept(monkeypatch):
+    # A second way to do what the package already does has no caller but the
+    # tests; and a kept name that gains a caller leaves KEEP.
+    assert _callerless(_exported()) == KEEP
+    monkeypatch.setattr(tribell, "random_density", random_density, raising=False)
+    assert _callerless(_exported()) == KEEP | {"random_density"}
